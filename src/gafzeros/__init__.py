@@ -20,8 +20,8 @@ from .errors import (BoundaryTieWarning, CaseMismatch, DegenerateDenominator,
                      SupportUnknown, TailWarning, TruncationBiasWarning)
 from .experiments import (ExperimentConfig, RadialProfile, analytic_cell_counts,
                           emit_profile, load_profile, run_experiment)
-from .intensity import (IntensityQuery, rho1, rho1_ek_numeric, rho1_qform,
-                        rho1_spectral, sr_positive_form, sr_value)
+from .intensity import (rho1, rho1_ek_numeric, rho1_qform, rho1_spectral,
+                        sr_positive_form, sr_value)
 from .periodic import PeriodicFunction, TrigPoly
 from .poisson import (AuxValues, K_diag, K_offdiag, KernelPoint, P_op, Q_op,
                       aux_ops, harmonic_extension, poisson_kernel)
@@ -29,9 +29,8 @@ from .presets import (atoms, indicator, ma1, mix, parse_preset,
                       random_trig_density, uniform)
 from .sampling import (CoefficientBlock, empirical_covariance, radius_check,
                        replica_seed, sample_block, sample_blocks)
-from .spectral import (CovarianceSequence, SpectralMeasure, antisymmetrize,
-                       apply_T, covariance, derivatives_at_zero, mean, shift,
-                       symmetrize)
+from .spectral import (CovarianceSequence, SpectralMeasure, apply_T, covariance,
+                       derivatives_at_zero, mean, shift)
 from .zeros import (ZeroSet, annulus, companion_roots, count_region, disk,
                     find_roots, sector)
 

@@ -238,14 +238,11 @@ def _support_from_pieces(dens, resolution: int):
 
 def _merge_with_atoms(support_arcs, atoms):
     """Union the density support with atom points; return labeled arcs."""
-    events = []
-    for lo, hi in support_arcs:
-        events.append((lo, hi))
-    full = sum(hi - lo for lo, hi in events) >= TWOPI - 1e-12
+    full = sum(hi - lo for lo, hi in support_arcs) >= TWOPI - 1e-12
     if full:
         return [Arc(lo=-PI, hi=PI, kind="singular")]
     # normalize event arcs into non-overlapping sorted form on the circle
-    segs = sorted((wrap_angle(lo), wrap_angle(lo) + (hi - lo)) for lo, hi in events)
+    segs = sorted((wrap_angle(lo), wrap_angle(lo) + (hi - lo)) for lo, hi in support_arcs)
     arcs: list[Arc] = []
     boundary_atoms = set()
     for t in atoms:
@@ -255,21 +252,15 @@ def _merge_with_atoms(support_arcs, atoms):
             boundary_atoms.add(t)
     points = sorted(boundary_atoms)
     # build the complement of the support, then split it at isolated atoms
-    cursor = None
-    closed = []
-    for lo, hi in segs:
-        closed.append((lo, hi))
-    if not closed:
-        closed = []
     gaps = []
-    if closed:
-        for (lo1, hi1), (lo2, _) in zip(closed, closed[1:] + [(closed[0][0] + TWOPI,
-                                                               closed[0][1])]):
+    if segs:
+        for (lo1, hi1), (lo2, _) in zip(segs, segs[1:] + [(segs[0][0] + TWOPI,
+                                                           segs[0][1])]):
             if lo2 - hi1 > 1e-12:
                 gaps.append((hi1, lo2))
     else:
         gaps = [(-PI, PI)]
-    for lo, hi in closed:
+    for lo, hi in segs:
         arcs.append(Arc(lo=lo, hi=hi, kind="singular"))
     for lo, hi in gaps:
         inner = [t for t in points if lo < t < hi] + \

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DomainError, TruncationBiasWarning
 from .intensity import rho1
 from .periodic import PI
-from .sampling import replica_seed, sample_block
+from .sampling import sample_blocks
 from .spectral import SpectralMeasure
 from .zeros import find_roots
 
@@ -91,35 +91,9 @@ def _histogram(roots: np.ndarray, r_edges, phi_edges) -> np.ndarray:
     return h
 
 
-def _one_replica(args):
-    F, N, seed_i, r_edges, phi_edges = args
-    if isinstance(F, str):  # preset label shipped to a worker process
-        from .presets import parse_preset
-        F = parse_preset(F)
-    block = sample_block(F, N, seed_i)
-    zs = find_roots(block.values)
-    return _histogram(zs.roots, r_edges, phi_edges)
-
-
-def _worker_payload(F: SpectralMeasure, workers: int):
-    """Measures built from closures do not pickle; ship the preset label
-    instead when it parses back, else fall back to serial execution."""
-    if workers <= 1:
-        return F, workers
-    import pickle
-    try:
-        pickle.dumps(F)
-        return F, workers
-    except Exception:
-        pass
-    try:
-        from .presets import parse_preset
-        parse_preset(F.label)
-        return F.label, workers
-    except Exception:
-        warnings.warn("measure is not picklable and its label is not a preset; "
-                      "running replicas serially", stacklevel=3)
-        return F, 1
+def _replica_counts(args):
+    values, r_edges, phi_edges = args
+    return _histogram(find_roots(values).roots, r_edges, phi_edges)
 
 
 def analytic_cell_counts(F: SpectralMeasure, r_edges, phi_edges,
@@ -151,9 +125,11 @@ def analytic_cell_counts(F: SpectralMeasure, r_edges, phi_edges,
 def run_experiment(config: ExperimentConfig) -> RadialProfile:
     """Replicated sampling -> roots -> binning, with the analytic column.
 
-    Deterministic for a fixed seed regardless of worker scheduling: replica
-    results are reduced in index order.  The worker count is capped by the
-    GAF_THREADS environment variable when set.
+    All coefficient blocks are sampled in this process; worker processes
+    (if any) only root and bin them.  Deterministic for a fixed seed
+    regardless of worker scheduling: replica results are reduced in index
+    order.  The GAF_THREADS environment variable sets the default worker
+    count when ``config.workers`` is not given.
     """
     F = config.F
     r_edges = np.linspace(config.r_min, config.r_max, config.r_bins + 1)
@@ -169,14 +145,13 @@ def run_experiment(config: ExperimentConfig) -> RadialProfile:
     if workers is None:
         env = os.environ.get("GAF_THREADS", "")
         workers = int(env) if env.isdigit() and int(env) > 0 else 1
-    payload, workers = _worker_payload(F, workers)
-    jobs = [(payload, config.N, replica_seed(config.seed, i), r_edges, phi_edges)
-            for i in range(config.replicas)]
+    blocks = sample_blocks(F, config.N, config.replicas, config.seed)
+    jobs = [(block.values, r_edges, phi_edges) for block in blocks]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            hists = list(pool.map(_one_replica, jobs, chunksize=8))
+            hists = list(pool.map(_replica_counts, jobs, chunksize=8))
     else:
-        hists = [_one_replica(job) for job in jobs]
+        hists = [_replica_counts(job) for job in jobs]
 
     stack = np.stack(hists)
     mean = stack.mean(axis=0)

@@ -13,7 +13,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,20 +24,11 @@ from .poisson import (K_diag, KernelPoint, P_op, _check_radius,
 from .spectral import SpectralMeasure
 
 __all__ = [
-    "IntensityQuery", "rho1", "rho1_spectral", "rho1_qform", "rho1_ek_numeric",
+    "rho1", "rho1_spectral", "rho1_qform", "rho1_ek_numeric",
     "sr_value", "sr_positive_form",
 ]
 
 _DENOM_FLOOR = 1e-150
-
-
-@dataclass(frozen=True)
-class IntensityQuery:
-    """A point query: measure, disk point, and evaluation route."""
-
-    F: SpectralMeasure
-    z: complex
-    method: str = "auto"  # spectral_double | q_form | ek_numeric | auto
 
 
 def rho1(F: SpectralMeasure, z: complex, method: str = "auto") -> float:
@@ -57,10 +47,6 @@ def rho1(F: SpectralMeasure, z: complex, method: str = "auto") -> float:
     if method in ("ek_numeric", "ek"):
         return rho1_ek_numeric(F, z)
     raise DomainError(f"unknown intensity method {method!r}")
-
-
-def evaluate(query: IntensityQuery) -> float:
-    return rho1(query.F, query.z, query.method)
 
 
 def _rotated_atoms(F: SpectralMeasure, phi: float):

@@ -447,7 +447,7 @@ class PeriodicFunction:
         if isinstance(other, PeriodicFunction):
             if self.trig is not None and other.trig is not None:
                 return PeriodicFunction.from_trigpoly(self.trig + other.trig)
-            ev1, ev2 = self._as_eval(), other._as_eval()
+            ev1, ev2 = self._eval, other._eval
             jet = None
             if self._has_jet() and other._has_jet():
                 jet = self.jet() + other.jet()
@@ -480,7 +480,7 @@ class PeriodicFunction:
                 # (h cos)(0) == h(0) and (h sin)(0) == 0 exact in floats
                 jet = np.convolve(self.jet(), other.jet())[:JET_LEN]
                 return PeriodicFunction(tp, trig=tp, jet=jet)
-            ev1, ev2 = self._as_eval(), other._as_eval()
+            ev1, ev2 = self._eval, other._eval
             jet = None
             if self._has_jet() and other._has_jet():
                 jet = np.convolve(self.jet(), other.jet())[:JET_LEN]
@@ -504,9 +504,6 @@ class PeriodicFunction:
 
     def times_sin(self):
         return self * SIN
-
-    def _as_eval(self):
-        return self.trig if self.trig is not None else self._eval
 
     def _has_jet(self):
         # only report jets that are already materialized; everything else is
@@ -555,7 +552,7 @@ def _t_once(h: PeriodicFunction) -> PeriodicFunction:
     a = even_jet_to_x_coeffs(h.jet())
     a_shift = a[1:]
     h0 = float(h.jet()[0])
-    ev = h._as_eval()
+    ev = h._eval
 
     def fn(s):
         x = one_minus_cos(s)

@@ -20,7 +20,7 @@ from .periodic import (TWOPI, GRID_M, PeriodicFunction, mean, panel_quad,
 
 __all__ = [
     "SpectralMeasure", "CovarianceSequence", "covariance", "shift",
-    "symmetrize", "antisymmetrize", "mean", "apply_T", "derivatives_at_zero",
+    "mean", "apply_T", "derivatives_at_zero",
 ]
 
 _MASS_TOL = 1e-10
@@ -109,16 +109,6 @@ def shift(F: SpectralMeasure, phi: float) -> SpectralMeasure:
     atoms = tuple((float(wrap_angle(t - phi)), m) for t, m in F.atoms)
     lab = f"{F.label}@{phi:+.4g}" if F.label else ""
     return SpectralMeasure(density=dens, atoms=atoms, label=lab)
-
-
-def symmetrize(h: PeriodicFunction) -> PeriodicFunction:
-    """Even part (h(s) + h(-s)) / 2."""
-    return h.hat()
-
-
-def antisymmetrize(h: PeriodicFunction) -> PeriodicFunction:
-    """Odd part (h(s) - h(-s)) / 2."""
-    return h.check()
 
 
 def apply_T(h: PeriodicFunction, power: int = 1) -> PeriodicFunction:

@@ -9,7 +9,9 @@ from gafzeros.errors import DomainError, TruncationBiasWarning
 from gafzeros.experiments import (ExperimentConfig, RadialProfile,
                                   analytic_cell_counts, emit_profile,
                                   load_profile, profile_csv, run_experiment)
+from gafzeros.periodic import PeriodicFunction
 from gafzeros.sampling import sample_blocks
+from gafzeros.spectral import SpectralMeasure
 from gafzeros.zeros import annulus, count_region, find_roots
 
 
@@ -152,12 +154,22 @@ def test_degenerate_direction_sector_counts():
     assert abs(cnt_n.mean() - flat) <= 3.0 * se_n
 
 
-def test_parallel_matches_serial():
-    cfg_serial = small_config(replicas=8, workers=1)
-    cfg_par = small_config(replicas=8, workers=2)
-    a = run_experiment(cfg_serial)
-    b = run_experiment(cfg_par)
+@pytest.mark.parametrize("F", [
+    presets.uniform(),
+    presets.indicator(-math.pi / 2, math.pi / 2),
+    presets.mix((0.5, presets.uniform()), (0.5, presets.indicator(-1.0, 1.0))),
+    # a bare callable does not pickle and has no preset label: only the
+    # coefficient blocks cross the process boundary, so neither is needed
+    SpectralMeasure(density=PeriodicFunction.from_callable(
+        lambda s: (1.0 + 0.6 * np.cos(s)) / (2.0 * math.pi))),
+], ids=["uniform", "indicator", "mix", "callable"])
+def test_parallel_matches_serial(F):
+    a = run_experiment(small_config(F=F, replicas=8, workers=1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        b = run_experiment(small_config(F=F, replicas=8, workers=2))
     assert np.array_equal(a.empirical_mean, b.empirical_mean)
+    assert profile_csv(a) == profile_csv(b)
 
 
 def test_gaf_threads_env_caps_workers(monkeypatch):

@@ -6,9 +6,8 @@ import pytest
 
 from gafzeros import presets
 from gafzeros.errors import CaseMismatch, DomainError, MethodUnavailable
-from gafzeros.intensity import (IntensityQuery, evaluate, rho1, rho1_ek_numeric,
-                                rho1_qform, rho1_spectral, sr_positive_form,
-                                sr_value)
+from gafzeros.intensity import (rho1, rho1_ek_numeric, rho1_qform, rho1_spectral,
+                                sr_positive_form, sr_value)
 
 HALF = math.pi / 2
 
@@ -123,8 +122,7 @@ def test_dispatcher_and_query():
     assert rho1(F, z, "auto") == pytest.approx(rho1_qform(F, z), rel=1e-12)
     A = presets.atoms([(0.0, 1.0)])
     assert rho1(A, 0.5, "auto") == pytest.approx(rho1_spectral(A, 0.5), abs=1e-12)
-    q = IntensityQuery(F=F, z=z, method="ek_numeric")
-    assert evaluate(q) == pytest.approx(rho1_ek_numeric(F, z), rel=1e-12)
+    assert rho1(F, z, "ek_numeric") == pytest.approx(rho1_ek_numeric(F, z), rel=1e-12)
     with pytest.raises(DomainError):
         rho1(F, z, "nope")
 

@@ -8,8 +8,7 @@ from gafzeros import presets
 from gafzeros.errors import DomainError, NormalizationError
 from gafzeros.periodic import PeriodicFunction, mean
 from gafzeros.spectral import (CovarianceSequence, SpectralMeasure, apply_T,
-                               antisymmetrize, covariance, derivatives_at_zero,
-                               shift, symmetrize)
+                               covariance, derivatives_at_zero, shift)
 
 HALF = math.pi / 2
 
@@ -108,7 +107,7 @@ def test_shift_preserves_mass():
 def test_symmetrize_ma1_slice():
     a, phi = 0.3, 0.9
     h = PeriodicFunction.from_trig([1.0, 2 * a]).shifted(phi)
-    hh = symmetrize(h)
+    hh = h.hat()
     s = np.linspace(-3, 3, 30)
     assert np.allclose(hh(s), 1 + 2 * a * math.cos(phi) * np.cos(s), atol=1e-13)
 
@@ -116,7 +115,7 @@ def test_symmetrize_ma1_slice():
 def test_symmetrize_half_interval_three_levels():
     phi = 3 * math.pi / 4
     fphi = half_interval_slice(phi)
-    fhat = symmetrize(fphi)
+    fhat = fphi.hat()
     # plateau structure: 0 inside |s| < pi/4, 1/2 in between, 1 beyond 3pi/4
     assert fhat(0.1) == pytest.approx(0.0, abs=1e-14)
     assert fhat(-1.2) == pytest.approx(0.5, abs=1e-14)
@@ -130,7 +129,7 @@ def test_symmetrize_half_interval_three_levels():
 def test_antisymmetrize_even_is_zero():
     h = PeriodicFunction.from_trig([1.0, 0.5, 0.2])
     s = np.linspace(-3, 3, 20)
-    assert np.max(np.abs(antisymmetrize(h)(s))) < 1e-14
+    assert np.max(np.abs(h.check()(s))) < 1e-14
 
 
 # ---------------------------------------------------------------------- mean
@@ -142,7 +141,7 @@ def test_mean_constant():
 def test_mean_T_of_ma1_slice():
     a = 0.3
     for phi in (0.0, 0.9, 2.2):
-        h = symmetrize(PeriodicFunction.from_trig([1.0, 2 * a]).shifted(phi))
+        h = PeriodicFunction.from_trig([1.0, 2 * a]).shifted(phi).hat()
         assert mean(apply_T(h)) == pytest.approx(-2 * a * math.cos(phi), abs=1e-12)
 
 
@@ -150,7 +149,7 @@ def test_mean_T_of_half_interval_slice():
     # frozen oracle: the piecewise antiderivative of 1/(1-cos s) is -cot(s/2),
     # giving  (cot(pi/8) + cot(3pi/8)) / (2 pi) = sqrt(2)/pi  at phi = 3pi/4
     phi = 3 * math.pi / 4
-    fhat = symmetrize(half_interval_slice(phi))
+    fhat = half_interval_slice(phi).hat()
     got = mean(apply_T(fhat))
     assert got == pytest.approx(math.sqrt(2) / math.pi, rel=1e-12)
 
