@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PrecisionError, SupportUnknown, TailWarning
-from .periodic import PI, TWOPI, panel_nodes, wrap_angle
-from .poisson import graded_edges
+from .periodic import PI, TWOPI, wrap_angle
+from .poisson import _kernel_nodes
 from .spectral import SpectralMeasure
 
 __all__ = [
@@ -42,8 +42,7 @@ def _log_weights(F: SpectralMeasure, r: float, k_max: int):
         dens = F.density
         # integrand width shrinks like (1-r)/sqrt(k); grade accordingly
         floor = 16.0 * math.sqrt(k_max + 1.0)
-        pts, wts = panel_nodes(graded_edges(r, dens.breakpoints, centers=(0.0,),
-                                            floor_scale=floor))
+        pts, wts = _kernel_nodes(r, dens.breakpoints, floor_scale=floor)
         vals = dens(pts) * wts
         keep = vals > 0.0
         with np.errstate(divide="ignore"):

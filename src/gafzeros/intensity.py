@@ -19,8 +19,7 @@ import numpy as np
 from .errors import (CaseMismatch, DegenerateDenominator, DomainError,
                      MethodUnavailable)
 from .periodic import PI, TWOPI, PeriodicFunction, one_minus_cos, panel_nodes, wrap_angle
-from .poisson import (K_diag, KernelPoint, P_op, _check_radius,
-                      graded_edges, poisson_kernel)
+from .poisson import K_diag, KernelPoint, _check_radius, _kernel_nodes, poisson_kernel
 from .spectral import SpectralMeasure
 
 __all__ = [
@@ -65,7 +64,7 @@ def _moment_integrals(F: SpectralMeasure, pt: KernelPoint):
     minus = plus = s_ = b = 0.0
     if F.density is not None:
         dens_phi = F.density.shifted(pt.phi)
-        pts, wts = panel_nodes(graded_edges(pt.r, dens_phi.breakpoints))
+        pts, wts = _kernel_nodes(pt.r, dens_phi.breakpoints)
         fv = dens_phi(pts) * wts
         pk = poisson_kernel(pt.r, pts)
         pk2 = pk * pk
@@ -103,8 +102,9 @@ def rho1_spectral(F: SpectralMeasure, z: complex) -> float:
     return num / (PI * pt.y**2 * b * b)
 
 
-def _sr_stable(f_phi: PeriodicFunction, r: float) -> float:
-    """The numerator functional in its cancellation-free product form:
+def _qform_parts(f_phi: PeriodicFunction, r: float):
+    """P(fhat) and the numerator functional, on one kernel rule shared by
+    both, the numerator in its cancellation-free product form:
 
         Q(fhat)^2 - Q(fhat cos)^2 - Q(fcheck sin)^2
           = Q(fhat (1-cos)) Q(fhat (1+cos)) - Q(fcheck sin)^2.
@@ -115,15 +115,17 @@ def _sr_stable(f_phi: PeriodicFunction, r: float) -> float:
     near-zero evaluation would cancel.
     """
     f_hat = f_phi.hat()
-    f_chk = f_phi.check()
-    pts, wts = panel_nodes(graded_edges(r, f_hat.breakpoints))
-    pk2 = poisson_kernel(r, pts) ** 2
+    pts, wts = _kernel_nodes(r, f_hat.breakpoints)
+    hv = f_hat(pts)
+    pk = poisson_kernel(r, pts)
+    p_hat = float(np.sum(hv * pk * wts)) / TWOPI
+    pk2 = pk**2
     x = one_minus_cos(pts)
-    fh = f_hat(pts) * pk2 * wts
+    fh = hv * pk2 * wts
     q_minus = float(np.sum(fh * x)) / TWOPI
     q_plus = float(np.sum(fh * (2.0 - x))) / TWOPI
-    q_sin = float(np.sum(f_chk(pts) * np.sin(pts) * pk2 * wts)) / TWOPI
-    return q_minus * q_plus - q_sin * q_sin
+    q_sin = float(np.sum(f_phi.check()(pts) * np.sin(pts) * pk2 * wts)) / TWOPI
+    return p_hat, q_minus * q_plus - q_sin * q_sin
 
 
 def rho1_qform(F: SpectralMeasure, z: complex) -> float:
@@ -134,11 +136,9 @@ def rho1_qform(F: SpectralMeasure, z: complex) -> float:
         raise MethodUnavailable("q_form requires a density")
     pt = KernelPoint.from_z(z)
     _check_radius(pt.r)
-    f_phi = F.relative_density(pt.phi)
-    p_hat = P_op(f_phi.hat(), pt.r)
+    p_hat, s_r = _qform_parts(F.relative_density(pt.phi), pt.r)
     if not np.isfinite(p_hat) or p_hat <= _DENOM_FLOOR:
         raise DegenerateDenominator(f"Poisson average underflowed at z = {z!r}")
-    s_r = _sr_stable(f_phi, pt.r)
     return s_r / (PI * pt.y**2 * p_hat * p_hat)
 
 
@@ -178,7 +178,7 @@ def sr_value(F: SpectralMeasure, phi: float, r: float) -> float:
     if F.atoms or F.density is None:
         raise MethodUnavailable("numerator functional requires a pure density")
     r = _check_radius(r)
-    return _sr_stable(F.relative_density(phi), r)
+    return _qform_parts(F.relative_density(phi), r)[1]
 
 
 def sr_positive_form(F: SpectralMeasure, phi: float) -> float:

@@ -2,11 +2,13 @@
 
 All circle integrals here face the same difficulty: the kernel concentrates
 in a window of width ~(1-r) around its center, so a uniform grid dies as
-r -> 1.  Every operator therefore integrates over geometrically graded
-panels that descend to scale (1-r)/16 around each kernel center (plus any
-breakpoints of the integrand), with 32-point Gauss-Legendre per panel.
-Direct quadrature is refused above r = 1 - 1e-6; past that only the
-boundary expansions are meaningful.
+r -> 1.  Every operator therefore integrates on one rule, ``_kernel_nodes``:
+32-point Gauss-Legendre on panels with edges -pi, pi, the integrand's
+breakpoints, each kernel center c and c +- delta 2^j for every delta 2^j < 2 pi,
+delta = max((1-r)/floor, 1e-12) with floor 16 unless a caller grades deeper;
+all wrapped to (-pi, pi] and merged within 1e-13.  Direct quadrature is
+refused above r = 1 - 1e-6; past that only the boundary expansions are
+meaningful.
 """
 
 from __future__ import annotations
@@ -88,37 +90,38 @@ def _check_radius(r: float) -> float:
 
 
 def graded_edges(r: float, breakpoints=(), centers=(0.0,), floor_scale=GRADING_FLOOR):
-    """Panel edges on [-pi, pi], geometrically refined toward each center."""
+    """Panel edges on [-pi, pi], geometrically refined toward each center.
+
+    Edges: -pi, pi, the breakpoints, each center c and c +- delta 2^j for all
+    j >= 0 with delta 2^j < 2 pi, delta = max((1-r)/floor_scale, 1e-12), all
+    wrapped to (-pi, pi]; sorted, an edge within 1e-13 of the last kept edge
+    is merged into it.
+    """
     delta = max((1.0 - r) / floor_scale, 1e-12)
-    edges = {-PI, PI}
-    for b in np.atleast_1d(np.asarray(breakpoints, dtype=float)):
-        edges.add(float(wrap_angle(b)))
-    for c in centers:
-        c = float(wrap_angle(c))
-        edges.add(c)
-        d = delta
-        while d < TWOPI:
-            for p in (c - d, c + d):
-                edges.add(float(wrap_angle(p)))
-            d *= 2.0
-    out = sorted(edges)
-    merged = [out[0]]
-    for p in out[1:]:
-        if p - merged[-1] > 1e-13:
-            merged.append(p)
-    if merged[-1] < PI - 1e-13:
-        merged.append(PI)
+    steps = np.ldexp(delta, np.arange(64))  # delta >= 1e-12 passes 2 pi within 43 doublings
+    steps = steps[steps < TWOPI]
+    c = np.atleast_1d(wrap_angle(centers))
+    offsets = wrap_angle(np.concatenate([c[:, None] - steps, c[:, None] + steps]).ravel())
+    edges = np.sort(np.concatenate(
+        [[-PI, PI], np.atleast_1d(wrap_angle(breakpoints)), c, offsets]))
+    gaps = np.diff(edges)
+    if np.any((gaps > 0.0) & (gaps <= 1e-13)):
+        # rare: a merge chain, decided against the last kept edge
+        merged = [edges[0]]
+        for p in edges[1:]:
+            if p - merged[-1] > 1e-13:
+                merged.append(p)
+        edges = np.array(merged)
     else:
-        merged[-1] = PI
-    if merged[0] > -PI + 1e-13:
-        merged.insert(0, -PI)
-    else:
-        merged[0] = -PI
-    return np.array(merged)
+        edges = edges[np.concatenate(([True], gaps != 0.0))]
+    # -pi is the least edge and pi lies within 1e-13 of the greatest kept one
+    edges[0], edges[-1] = -PI, PI
+    return edges
 
 
-def _kernel_nodes(r, breakpoints=(), centers=(0.0,)):
-    return panel_nodes(graded_edges(r, breakpoints, centers))
+def _kernel_nodes(r, breakpoints=(), centers=(0.0,), floor_scale=GRADING_FLOOR):
+    """The kernel rule: Gauss-Legendre nodes and weights on graded_edges."""
+    return panel_nodes(graded_edges(r, breakpoints, centers, floor_scale))
 
 
 def P_op(h: PeriodicFunction, r: float) -> float:
@@ -177,7 +180,7 @@ def harmonic_extension(F: SpectralMeasure, z: complex) -> float:
     total = 0.0
     if F.density is not None:
         breaks = F.density.breakpoints
-        pts, wts = panel_nodes(graded_edges(pt.r, breaks, centers=(pt.phi,)))
+        pts, wts = _kernel_nodes(pt.r, breaks, centers=(pt.phi,))
         total += float(np.sum(F.density(pts) * poisson_kernel(pt.r, wrap_angle(pt.phi - pts)) * wts))
     for t, m in F.atoms:
         total += m * poisson_kernel(pt.r, wrap_angle(pt.phi - t))
@@ -201,9 +204,8 @@ def K_offdiag(F: SpectralMeasure, z: complex, w: complex) -> complex:
 
     total = 0.0 + 0.0j
     if F.density is not None:
-        edges = graded_edges(max(zp.r, wp.r), F.density.breakpoints,
-                             centers=(zp.phi, wp.phi))
-        pts, wts = panel_nodes(edges)
+        pts, wts = _kernel_nodes(max(zp.r, wp.r), F.density.breakpoints,
+                                 centers=(zp.phi, wp.phi))
         total += complex(np.sum(F.density(pts) * integrand(pts) * wts))
     for t, m in F.atoms:
         total += m * integrand(np.array(t))

@@ -178,13 +178,11 @@ def empirical_covariance(blocks, k: int):
     if k < 0:
         value, se = empirical_covariance(blocks, -k)
         return np.conj(value), se
-    per_block = []
-    for blk in blocks:
-        v = blk.values
-        if k >= v.size:
-            raise DomainError(f"lag {k} exceeds block degree {v.size - 1}")
-        per_block.append(np.mean(v[k:] * np.conj(v[: v.size - k])))
-    per_block = np.array(per_block)
+    degrees = sorted({blk.values.size - 1 for blk in blocks})
+    if len(degrees) > 1 or k > degrees[0]:
+        raise DomainError(f"lag {k} needs blocks of one degree >= {k}; got degrees {degrees}")
+    v = np.stack([blk.values for blk in blocks])
+    per_block = np.mean(v[:, k:] * np.conj(v[:, : v.shape[1] - k]), axis=1)
     value = per_block.mean()
     if per_block.size > 1:
         spread = np.abs(per_block - value) ** 2

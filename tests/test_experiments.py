@@ -172,7 +172,7 @@ def test_parallel_matches_serial(F):
     assert profile_csv(a) == profile_csv(b)
 
 
-def test_gaf_threads_env_caps_workers(monkeypatch):
+def test_gaf_threads_env_sets_default_workers(monkeypatch):
     monkeypatch.setenv("GAF_THREADS", "2")
     a = run_experiment(small_config(replicas=6, workers=None))
     monkeypatch.setenv("GAF_THREADS", "1")

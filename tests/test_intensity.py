@@ -8,6 +8,7 @@ from gafzeros import presets
 from gafzeros.errors import CaseMismatch, DomainError, MethodUnavailable
 from gafzeros.intensity import (rho1, rho1_ek_numeric, rho1_qform, rho1_spectral,
                                 sr_positive_form, sr_value)
+from gafzeros.poisson import KernelPoint, P_op
 
 HALF = math.pi / 2
 
@@ -116,7 +117,7 @@ def test_half_interval_flat_left_density():
     assert rho1_qform(F, z) == pytest.approx(got, rel=1e-9)
 
 
-def test_dispatcher_and_query():
+def test_rho1_dispatcher_routes():
     F = presets.ma1(0.2)
     z = 0.7
     assert rho1(F, z, "auto") == pytest.approx(rho1_qform(F, z), rel=1e-12)
@@ -125,6 +126,20 @@ def test_dispatcher_and_query():
     assert rho1(F, z, "ek_numeric") == pytest.approx(rho1_ek_numeric(F, z), rel=1e-12)
     with pytest.raises(DomainError):
         rho1(F, z, "nope")
+
+
+@pytest.mark.parametrize("F", [presets.ma1(0.3), presets.indicator(-HALF, HALF),
+                               presets.random_trig_density(3)],
+                         ids=["ma1", "indicator", "trig3"])
+def test_qform_is_sr_over_squared_poisson_average_bitwise(F):
+    # rho1_qform shares one kernel rule between P(fhat) and S_r; the public
+    # pieces must still compose to the very same float
+    for r in (0.3, 0.9, 0.999, 1 - 1e-4, 1 - 1e-5):
+        for phi in (0.0, 0.4, HALF + 0.01, -2.5, math.pi):
+            pt = KernelPoint.from_z(r * cmath.exp(1j * phi))
+            p_hat = P_op(F.relative_density(pt.phi).hat(), pt.r)
+            want = sr_value(F, pt.phi, pt.r) / (math.pi * pt.y**2 * p_hat * p_hat)
+            assert rho1_qform(F, pt.z) == want, (r, phi)
 
 
 def test_sr_value_uniform_reduction():

@@ -3,12 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gafzeros import presets
 from gafzeros.errors import DomainError, PrecisionError
-from gafzeros.periodic import PeriodicFunction, mean
-from gafzeros.poisson import (AuxValues, K_diag, K_offdiag, KernelPoint, P_op,
-                              Q_op, aux_ops, harmonic_extension,
+from gafzeros.periodic import PeriodicFunction, mean, wrap_angle
+from gafzeros.poisson import (R_CEILING, AuxValues, K_diag, K_offdiag, KernelPoint,
+                              P_op, Q_op, aux_ops, graded_edges, harmonic_extension,
                               poisson_kernel)
 
 ONE = PeriodicFunction.constant(1.0)
@@ -157,3 +159,66 @@ def test_harmonic_extension_matches_offdiag_on_diagonal():
     ko = K_offdiag(F, z, z)
     assert kd == pytest.approx(ko.real, rel=1e-10)
     assert abs(ko.imag) < 1e-12 * kd
+
+
+def _graded_edges_oracle(r, breakpoints=(), centers=(0.0,), floor_scale=16.0):
+    # reference rule: a set of wrapped edges, sorted, then a greedy merge
+    delta = max((1.0 - r) / floor_scale, 1e-12)
+    edges = {-math.pi, math.pi}
+    for b in np.atleast_1d(np.asarray(breakpoints, dtype=float)):
+        edges.add(float(wrap_angle(b)))
+    for c in centers:
+        c = float(wrap_angle(c))
+        edges.add(c)
+        d = delta
+        while d < 2 * math.pi:
+            for p in (c - d, c + d):
+                edges.add(float(wrap_angle(p)))
+            d *= 2.0
+    out = sorted(edges)
+    merged = [out[0]]
+    for p in out[1:]:
+        if p - merged[-1] > 1e-13:
+            merged.append(p)
+    if merged[-1] < math.pi - 1e-13:
+        merged.append(math.pi)
+    else:
+        merged[-1] = math.pi
+    if merged[0] > -math.pi + 1e-13:
+        merged.insert(0, -math.pi)
+    else:
+        merged[0] = -math.pi
+    return np.array(merged)
+
+
+_RADII = st.one_of(st.floats(0.0, R_CEILING),
+                   st.floats(0.0, 6.0).map(lambda e: min(1.0 - 10.0 ** -e, R_CEILING)),
+                   st.just(R_CEILING))
+_ANGLES = st.one_of(st.floats(-4.0, 4.0),
+                    st.sampled_from([-math.pi, math.pi, 0.0, math.pi / 2]))
+
+
+@st.composite
+def _rule_inputs(draw):
+    centers = draw(st.lists(_ANGLES, min_size=1, max_size=2))
+    breaks = draw(st.lists(st.one_of(
+        _ANGLES,
+        st.sampled_from(centers),
+        # within the 1e-13 merge distance of a center: the greedy merge path
+        st.tuples(st.sampled_from(centers), st.floats(-2e-13, 2e-13)).map(sum),
+    ), max_size=3))
+    floor = draw(st.one_of(st.just(16.0), st.integers(0, 1024).map(
+        lambda k_max: 16.0 * math.sqrt(k_max + 1.0))))
+    return draw(_RADII), breaks, centers, floor
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rule_inputs())
+@example((0.9, [0.1, 0.1 + 6e-14, 0.1 + 1.3e-13], [0.1], 16.0))
+@example((R_CEILING, [-math.pi, math.pi, 0.0], [0.0, math.pi], 16.0 * math.sqrt(513.0)))
+@example((0.0, [], [0.0], 16.0))
+def test_graded_edges_match_set_and_loop_oracle(case):
+    r, breaks, centers, floor = case
+    got = graded_edges(r, breaks, centers, floor)
+    want = _graded_edges_oracle(r, breaks, centers, floor)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

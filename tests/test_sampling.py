@@ -95,6 +95,13 @@ def test_empirical_covariance_lag_bound():
         empirical_covariance(blocks, 9)
 
 
+def test_empirical_covariance_rejects_mixed_degrees():
+    blocks = sample_blocks(presets.uniform(), 8, 2, seed=5) + \
+        sample_blocks(presets.uniform(), 9, 2, seed=5)
+    with pytest.raises(DomainError):
+        empirical_covariance(blocks, 1)
+
+
 @pytest.mark.parametrize("F", STAT_PRESETS, ids=lambda F: F.label[:24])
 def test_covariance_statistics_4se(F):
     blocks = sample_blocks(F, 64, 1024, seed=2026)
