@@ -32,8 +32,8 @@ JET_LEN = 9
 GRID_M = 4096
 
 #: below this |s| the difference-quotient operator switches to its jet form
+#: (narrowed to half the distance to the nearest breakpoint, see _t_once)
 T_PATCH_S0 = 0.05
-_T_PATCH_X0 = 1.0 - math.cos(T_PATCH_S0)
 
 _BREAK_MERGE_TOL = 1e-12
 
@@ -530,7 +530,9 @@ def t_operator(h: PeriodicFunction, power: int = 1) -> PeriodicFunction:
     At s = 0 the quotient continues to h''(0).  Requires an even function
     that is smooth at 0.  Trig polynomials are transformed exactly through
     their expansion in powers of 1 - cos s; other representations use a
-    direct quotient away from 0 and the Taylor jet inside |s| < 0.05.
+    direct quotient away from 0 and the Taylor jet inside |s| < s0, where
+    s0 = min(0.05, half the distance from 0 to the nearest breakpoint of h):
+    the jet describes h only up to its nearest breakpoint.
     """
     if power < 1:
         raise DomainError("power must be >= 1")
@@ -553,13 +555,17 @@ def _t_once(h: PeriodicFunction) -> PeriodicFunction:
     a_shift = a[1:]
     h0 = float(h.jet()[0])
     ev = h._eval
+    s0 = T_PATCH_S0
+    if h.breakpoints.size:
+        s0 = min(s0, 0.5 * float(np.min(np.abs(wrap_angle(h.breakpoints)))))
+    x0 = 1.0 - math.cos(s0)
 
     def fn(s):
         x = one_minus_cos(s)
         with np.errstate(divide="ignore", invalid="ignore"):
             direct = (np.asarray(ev(s), dtype=float) - h0) / x
         patch = nppoly.polyval(x, a_shift)
-        return np.where(x < _T_PATCH_X0, patch, direct)
+        return np.where(x < x0, patch, direct)
 
     return PeriodicFunction(fn, breakpoints=h.breakpoints, smooth_at_zero=True,
                             jet=x_coeffs_to_jet(a_shift), label=_lab("T", h.label))

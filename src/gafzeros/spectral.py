@@ -112,7 +112,11 @@ def shift(F: SpectralMeasure, phi: float) -> SpectralMeasure:
 
 
 def apply_T(h: PeriodicFunction, power: int = 1) -> PeriodicFunction:
-    """Difference quotient (h(s) - h(0)) / (1 - cos s), iterated ``power`` times."""
+    """Difference quotient (h(s) - h(0)) / (1 - cos s), iterated ``power`` times.
+
+    Unless h is a trig polynomial, the quotient is replaced by the Taylor jet
+    of h inside |s| < min(0.05, half the distance to the nearest breakpoint).
+    """
     if power not in (1, 2, 3):
         raise DomainError("power must be 1, 2 or 3")
     return t_operator(h, power)

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -194,11 +195,25 @@ def test_boundary_case_ii_degenerate_ma1():
 
 
 def test_boundary_case_iii_half_interval():
-    for phi in (2.0, 3 * math.pi / 4, 2.8):
+    # the last four lie within 0.05 of a jump, where the jet patch must stop
+    # short of the breakpoint
+    for phi, rel in ((2.0, 1e-9), (3 * math.pi / 4, 1e-9), (2.8, 1e-9),
+                     (math.pi / 2 + 0.0222, 1e-7), (-(math.pi / 2 + 0.0222), 1e-7),
+                     (math.pi / 2 + 0.04, 1e-7), (-(math.pi / 2 + 0.04), 1e-7)):
         case, rep = rho1_boundary(presets.indicator(-math.pi / 2, math.pi / 2), phi)
         assert case == "iii"
         want = 1 / (12 * math.pi * math.cos(phi) ** 2)
-        assert rep.coefficients[0] == pytest.approx(want, rel=1e-9)
+        assert rep.coefficients[0] == pytest.approx(want, rel=rel)
+
+
+@pytest.mark.parametrize("phi", [math.pi / 2 - 0.0222, -(math.pi / 2 - 0.0222)])
+def test_boundary_case_i_half_interval_near_jump(phi):
+    F = presets.indicator(-math.pi / 2, math.pi / 2)
+    case, rep = rho1_boundary(F, phi)
+    assert case == "i"
+    y = 1e-5
+    measured = rho1_qform(F, math.sqrt(1 - y) * cmath.exp(1j * phi)) - 1 / (math.pi * y * y)
+    assert rep.coefficients[0] == pytest.approx(measured, rel=1e-2)
 
 
 def test_boundary_case_i_deficit_never_positive():

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from gafzeros import presets
-from gafzeros.continuation import (Arc, arc_radius_bound, classify_arcs,
-                                   continuation_report, log_variance_alpha,
-                                   rho_local, variance_alpha)
+from gafzeros.continuation import (Arc, _log_weights, arc_radius_bound,
+                                   classify_arcs, continuation_report,
+                                   log_variance_alpha, rho_local, variance_alpha)
 from gafzeros.errors import DomainError, SupportUnknown, TailWarning
 from gafzeros.periodic import PeriodicFunction
 from gafzeros.spectral import SpectralMeasure, shift
@@ -46,6 +46,58 @@ def test_variance_vectorized_ks():
     assert np.all(np.diff(lv) > 0)
 
 
+def _log_variance_loop(F, r, ks):
+    """Reference: one log-sum-exp over the quadrature nodes per order k."""
+    ks = np.atleast_1d(np.asarray(ks, dtype=float))
+    logw, logd = _log_weights(F, r, int(ks.max()))
+    out = []
+    for k in ks:
+        a = logw - (k + 1.0) * logd
+        m = np.max(a)
+        out.append(m + math.log(np.sum(np.exp(a - m))))
+    return np.array(out)
+
+
+CONTINUATION_PRESETS = [
+    "uniform", "atoms:[(0,1)]", "atoms:[(3.141592653589793,1)]",
+    "atoms:[(0,0.5),(3.141592653589793,0.5)]",
+    "indicator:lo=-1.5707963267948966,hi=1.5707963267948966",
+    "ma1:a=0.5", "mix:0.5*uniform+0.5*atoms:[(0,1)]",
+]
+
+
+@pytest.mark.parametrize("text, radii", [
+    *[(t, (0.1, 0.7, 0.95, 0.999)) for t in CONTINUATION_PRESETS],
+    # -log d reaches -2 log(1 - r) = 41.4: fewer than 32 orders share a block
+    ("atoms:[(0,1)]", (1.0 - 1e-9,)),
+])
+def test_log_variance_matches_per_k_loop(text, radii):
+    F = presets.parse_preset(text)
+    ks = np.arange(0, 513)
+    for r in radii:
+        got = log_variance_alpha(F, r, ks)
+        want = _log_variance_loop(F, r, ks)
+        assert np.all(np.isfinite(got))
+        assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want))), r
+
+
+def test_log_variance_unsorted_repeated_gapped_and_scalar_ks():
+    F = presets.parse_preset("mix:0.5*uniform+0.5*atoms:[(0,1)]")
+    ks = np.array([300, 3, 3, 512, 0, 77, 31, 32, 300, 1])
+    got = log_variance_alpha(F, 0.7, ks)
+    assert got.shape == ks.shape
+    want = _log_variance_loop(F, 0.7, ks)
+    assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+    one = log_variance_alpha(F, 0.7, 77)
+    assert isinstance(one, float)
+    assert one == pytest.approx(_log_variance_loop(F, 0.7, 77)[0], rel=1e-13)
+
+
+def test_log_variance_rejects_fractional_orders():
+    with pytest.raises(DomainError):
+        log_variance_alpha(presets.uniform(), 0.5, np.array([1.0, 2.5]))
+
+
 def test_rho_local_atoms_exact():
     for r in (0.3, 0.6, 0.9):
         assert rho_local(presets.atoms([(math.pi, 1.0)]), r) == pytest.approx(
@@ -62,6 +114,8 @@ def test_rho_local_uniform():
 def test_rho_local_needs_tail():
     with pytest.raises(DomainError):
         rho_local(presets.uniform(), 0.5, k_max=32)
+    with pytest.raises(DomainError):
+        continuation_report(presets.uniform(), 0.5, k_max=32)
 
 
 def test_variance_ratio_lower_bound():
@@ -151,8 +205,22 @@ def test_arc_bound_validation():
 
 def test_tail_warning_fires_on_slow_tail():
     I = shift(presets.indicator(-HALF, HALF), math.pi)
-    with pytest.warns(TailWarning):
+    with pytest.warns(TailWarning) as rec:
         rho_local(I, 0.3, k_max=128)
+    assert rec[0].filename == __file__
+    with pytest.warns(TailWarning) as rec:
+        continuation_report(I, 0.3, k_max=128)
+    assert rec[0].filename == __file__
+
+
+@pytest.mark.parametrize("text", ["uniform", "atoms:[(0,1)]", "ma1:a=0.5",
+                                  "mix:0.5*uniform+0.5*atoms:[(0,1)]"])
+def test_report_rho_matches_rho_local(text):
+    F = presets.parse_preset(text)
+    for r in (0.3, 0.7, 0.95):
+        for k_max in (100, 512):
+            rep = continuation_report(F, r, k_max=k_max)
+            assert rep.rho_estimate == pytest.approx(rho_local(F, r, k_max), rel=1e-12)
 
 
 def test_continuation_report_json():
