@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PrecisionError, SupportUnknown, TailWarning
-from .periodic import PI, TWOPI, wrap_angle
+from .periodic import PI, TWOPI, one_minus_cos, wrap_angle
 from .poisson import _kernel_nodes
 from .spectral import SpectralMeasure
 
@@ -47,12 +47,10 @@ def _log_weights(F: SpectralMeasure, r: float, k_max: int):
         keep = vals > 0.0
         with np.errstate(divide="ignore"):
             parts_logw.append(np.log(vals[keep]))
-        parts_logd.append(np.log((1.0 - r) ** 2 + 2.0 * r *
-                                 (1.0 - np.cos(pts[keep]))))
+        parts_logd.append(np.log((1.0 - r) ** 2 + 2.0 * r * one_minus_cos(pts[keep])))
     for t, m in F.atoms:
         parts_logw.append(np.array([math.log(m)]))
-        parts_logd.append(np.array([math.log((1.0 - r) ** 2 +
-                                             2.0 * r * (1.0 - math.cos(t)))]))
+        parts_logd.append(np.array([math.log((1.0 - r) ** 2 + 2.0 * r * one_minus_cos(t))]))
     if not parts_logw:
         raise DomainError("measure carries no mass")
     return np.concatenate(parts_logw), np.concatenate(parts_logd)

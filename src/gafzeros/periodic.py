@@ -1,14 +1,13 @@
-"""2*pi-periodic functions with exact trigonometric-polynomial fast paths.
+"""2*pi-periodic functions stored as data: piecewise trigonometric quotients.
 
 The central object is :class:`PeriodicFunction`, a real periodic function on
-(-pi, pi] that knows three things on top of pointwise evaluation:
-
-* an optional exact trigonometric-polynomial representation (kept through
-  sums, products, shifts, parity splits and the difference-quotient operator),
-* an optional list of breakpoints (jump/kink locations) so that integrals can
-  be split instead of sampled across discontinuities,
-* a Taylor jet at s = 0, which feeds derivative queries and the stable
-  near-zero evaluation of the difference-quotient operator.
+(-pi, pi] given by sorted wrapped breakpoints b and, for each piece, a
+trigonometric polynomial p with an integer power m.  Piece i covers
+(b[i-1], b[i]] cyclically (one piece when there are no breakpoints), and its
+value is p(s) / (1 - cos s)^m.  Sums, products, shifts, parity parts and the
+difference-quotient operator act on the pieces exactly; integrals are closed
+form on pieces with m = 0 and Gauss-Legendre on panels graded toward the pole
+at s = 0 otherwise.  The Taylor jet at s = 0 is read off the piece holding 0.
 """
 
 from __future__ import annotations
@@ -17,8 +16,6 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.polynomial import chebyshev as npcheb
-from numpy.polynomial import polynomial as nppoly
 
 from .errors import DomainError
 
@@ -28,12 +25,9 @@ TWOPI = 2.0 * math.pi
 #: order of the Taylor jet carried at s = 0 (coefficients of s^0 .. s^8)
 JET_LEN = 9
 
-#: grid size used for spectrally accurate means and Fourier-based jets
-GRID_M = 4096
-
-#: below this |s| the difference-quotient operator switches to its jet form
-#: (narrowed to half the distance to the nearest breakpoint, see _t_once)
-T_PATCH_S0 = 0.05
+#: FFT size and frequency cap for the spectrum of a wrapped callable
+_FFT_SIZE = 8192
+_FFT_MAX_K = 512
 
 _BREAK_MERGE_TOL = 1e-12
 
@@ -52,49 +46,15 @@ def one_minus_cos(s):
     return 2.0 * sn * sn
 
 
-# Conversion between the even Taylor jet (t0, t2, t4, t6, t8) of a smooth even
-# function and its expansion h = sum_m A_m (1 - cos s)^m.  The matrices are the
-# exact rational conversion tables for the two bases.
-_X_FROM_T = np.array(
-    [
-        [1.0, 0.0, 0.0, 0.0, 0.0],
-        [0.0, 2.0, 0.0, 0.0, 0.0],
-        [0.0, 1.0 / 3.0, 4.0, 0.0, 0.0],
-        [0.0, 4.0 / 45.0, 4.0 / 3.0, 8.0, 0.0],
-        [0.0, 1.0 / 35.0, 7.0 / 15.0, 4.0, 16.0],
-    ]
-)
-_T_FROM_X = np.array(
-    [
-        [1.0, 0.0, 0.0, 0.0, 0.0],
-        [0.0, 0.5, 0.0, 0.0, 0.0],
-        [0.0, -1.0 / 24.0, 0.25, 0.0, 0.0],
-        [0.0, 1.0 / 720.0, -1.0 / 24.0, 0.125, 0.0],
-        [0.0, -1.0 / 40320.0, 1.0 / 320.0, -1.0 / 32.0, 1.0 / 16.0],
-    ]
-)
-
-
-def even_jet_to_x_coeffs(jet):
-    """A_0..A_4 of h = sum A_m x^m (x = 1-cos s) from a length-9 Taylor jet."""
-    t_even = np.asarray(jet, dtype=float)[0:9:2]
-    return _X_FROM_T @ t_even
-
-
-def x_coeffs_to_jet(a):
-    """Inverse of :func:`even_jet_to_x_coeffs`; odd jet entries are zero."""
-    a = np.asarray(a, dtype=float)
-    if a.size < 5:
-        a = np.concatenate([a, np.zeros(5 - a.size)])
-    t_even = _T_FROM_X @ a[:5]
-    jet = np.zeros(JET_LEN)
-    jet[0:9:2] = t_even
-    return jet
-
-
 # ---------------------------------------------------------------------------
 # trigonometric polynomials
 # ---------------------------------------------------------------------------
+
+
+def _padded(c, d):
+    """Spectrum ``c`` zero-padded to k = -d..d."""
+    pad = d - c.size // 2
+    return c if pad == 0 else np.pad(c, pad)
 
 
 class TrigPoly:
@@ -134,6 +94,8 @@ class TrigPoly:
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
+        if self.degree == 0:
+            return np.full(s.shape, self.c[0].real)
         ks = np.arange(-self.degree, self.degree + 1)
         phase = np.exp(1j * np.multiply.outer(s, ks))
         return np.real(phase @ self.c)
@@ -148,6 +110,9 @@ class TrigPoly:
             b[k] = -2.0 * self.c[d + k].imag
         return a, b
 
+    def coefficient(self, k: int) -> complex:
+        return self.c[self.degree + k] if abs(k) <= self.degree else 0.0j
+
     def trimmed(self, tol=0.0):
         d = self.degree
         mags = np.abs(self.c)
@@ -159,15 +124,11 @@ class TrigPoly:
         return TrigPoly(self.c[d - top : d + top + 1])
 
     # -- algebra ----------------------------------------------------------
-    def __add__(self, other):
-        if isinstance(other, TrigPoly):
-            d = max(self.degree, other.degree)
-            c = np.zeros(2 * d + 1, dtype=complex)
-            c[d - self.degree : d + self.degree + 1] += self.c
-            c[d - other.degree : d + other.degree + 1] += other.c
-            return TrigPoly(c)
-        c = self.c.copy()
-        c[self.degree] += other
+    def __add__(self, other: TrigPoly):
+        d = max(self.degree, other.degree)
+        c = np.zeros(2 * d + 1, dtype=complex)
+        c[d - self.degree : d + self.degree + 1] += self.c
+        c[d - other.degree : d + other.degree + 1] += other.c
         return TrigPoly(c)
 
     def scaled(self, alpha):
@@ -179,16 +140,6 @@ class TrigPoly:
     def shifted(self, phi):
         ks = np.arange(-self.degree, self.degree + 1)
         return TrigPoly(self.c * np.exp(1j * ks * phi))
-
-    def even_part(self):
-        return TrigPoly(0.5 * (self.c + self.c[::-1]))
-
-    def odd_part(self):
-        return TrigPoly(0.5 * (self.c - self.c[::-1]))
-
-    def is_even(self, tol=1e-12):
-        scale = max(np.abs(self.c).max(), 1.0)
-        return np.abs(self.c - self.c[::-1]).max() <= tol * scale
 
     def jet(self):
         ks = np.arange(-self.degree, self.degree + 1)
@@ -204,6 +155,10 @@ class TrigPoly:
         return float(self.c[self.degree].real)
 
 
+#: 1 - cos s as a trigonometric polynomial
+_ONE_MINUS_COS = TrigPoly(np.array([-0.5, 1.0, -0.5]))
+
+
 def divide_by_one_minus_cos(tp: TrigPoly, g0: float) -> TrigPoly:
     """Spectrum of (h - g0) / (1 - cos s) for a trig polynomial h.
 
@@ -217,17 +172,13 @@ def divide_by_one_minus_cos(tp: TrigPoly, g0: float) -> TrigPoly:
         return TrigPoly.constant(0.0)
     g = tp.c.astype(complex).copy()
     g[d] -= g0
-    u = np.zeros(2 * d - 1, dtype=complex)  # k = -(d-1)..(d-1)
-
-    def uset(k, val):
-        u[k + d - 1] = val
-
+    u = np.zeros(2 * d - 1, dtype=complex)  # u[d - 1 + k] for k = -(d-1)..(d-1)
     u_above = 0.0 + 0.0j           # u_d
     u_here = -2.0 * g[2 * d]       # u_{d-1}, from the equation at k = d
-    uset(d - 1, u_here)
+    u[2 * d - 2] = u_here
     for k in range(d - 1, -(d - 1), -1):
         u_below = 2.0 * (u_here - g[k + d]) - u_above
-        uset(k - 1, u_below)
+        u[k + d - 2] = u_below
         u_above, u_here = u_here, u_below
     # restore the exact Hermitian/even symmetry of the real even quotient
     u = 0.5 * (u + np.conj(u[::-1]))
@@ -235,8 +186,33 @@ def divide_by_one_minus_cos(tp: TrigPoly, g0: float) -> TrigPoly:
 
 
 # ---------------------------------------------------------------------------
-# periodic functions
+# pieces: (p, m) stands for p(s) / (1 - cos s)^m
 # ---------------------------------------------------------------------------
+
+
+def _lifted(piece, m):
+    """The numerator of ``piece`` over the power m >= its own."""
+    p, own = piece
+    for _ in range(m - own):
+        p = p.conv(_ONE_MINUS_COS)
+    return p
+
+
+def _piece_sum(a, b):
+    m = max(a[1], b[1])
+    return _lifted(a, m) + _lifted(b, m), m
+
+
+def _piece_product(a, b):
+    return a[0].conv(b[0]), a[1] + b[1]
+
+
+def _piece_parity(a, mirror, sign):
+    """(a(s) + sign * mirror(-s)) / 2 for two pieces."""
+    m = max(a[1], mirror[1])
+    p, q = _lifted(a, m), _lifted(mirror, m)
+    d = max(p.degree, q.degree)
+    return TrigPoly(0.5 * (_padded(p.c, d) + sign * _padded(q.c[::-1], d))), m
 
 
 def _merge_breaks(*groups):
@@ -254,70 +230,135 @@ def _merge_breaks(*groups):
     return np.array(keep)
 
 
+def _midpoints(breaks):
+    """One interior point of each piece (piece 0 wraps through pi)."""
+    if not breaks.size:
+        return np.zeros(1)
+    lo = np.concatenate(([breaks[-1] - TWOPI], breaks[:-1]))
+    return wrap_angle(0.5 * (lo + breaks))
+
+
 class PeriodicFunction:
-    """Real 2*pi-periodic function on (-pi, pi] with derivative access at 0."""
+    """Real 2*pi-periodic function on (-pi, pi], piecewise p(s) / (1 - cos s)^m.
 
-    __slots__ = ("_eval", "trig", "breakpoints", "smooth_at_zero", "_jet", "label")
+    ``breakpoints`` is sorted and wrapped; ``pieces[i] = (p, m)`` covers
+    (breakpoints[i-1], breakpoints[i]] cyclically.  Functions compare and
+    hash by breakpoints, pieces and jet; a wrapped callable by identity.
+    """
 
-    def __init__(self, eval_fn, *, trig=None, breakpoints=(), smooth_at_zero=True,
-                 jet=None, label=""):
-        self._eval = eval_fn
-        self.trig = trig
-        self.breakpoints = _merge_breaks(breakpoints)
-        if self.breakpoints.size and np.min(np.abs(self.breakpoints)) < 1e-9:
-            smooth_at_zero = False
-        self.smooth_at_zero = bool(smooth_at_zero)
+    __slots__ = ("breakpoints", "pieces", "_jet", "_fn")
+
+    def __init__(self, breakpoints, pieces, *, jet=None, fn=None):
+        self.breakpoints = np.asarray(breakpoints, dtype=float)
+        self.pieces = tuple(pieces)
+        if len(self.pieces) != max(self.breakpoints.size, 1):
+            raise ValueError("need one piece per breakpoint interval")
         self._jet = None if jet is None else np.asarray(jet, dtype=float)
-        self.label = label
+        self._fn = fn
 
     # -- constructors ------------------------------------------------------
     @classmethod
-    def from_trig(cls, a, b=None, label=""):
-        tp = TrigPoly.from_cos_sin(a, b)
-        return cls(tp, trig=tp, label=label)
+    def from_trig(cls, a, b=None):
+        return cls.from_trigpoly(TrigPoly.from_cos_sin(a, b))
 
     @classmethod
-    def from_trigpoly(cls, tp: TrigPoly, label=""):
-        return cls(tp, trig=tp, label=label)
+    def from_trigpoly(cls, tp: TrigPoly):
+        return cls((), [(tp, 0)])
 
     @classmethod
-    def constant(cls, value, label=""):
-        return cls.from_trig([float(value)], label=label)
+    def constant(cls, value):
+        return cls.from_trig([float(value)])
 
     @classmethod
-    def from_callable(cls, fn: Callable, breakpoints=(), smooth_at_zero=True,
-                      jet=None, label=""):
-        return cls(lambda s: np.asarray(fn(s), dtype=float),
-                   breakpoints=breakpoints, smooth_at_zero=smooth_at_zero,
-                   jet=jet, label=label)
+    def from_callable(cls, fn: Callable):
+        """Wrap a smooth callable.  Pointwise values come from ``fn``; its one
+        piece is the FFT spectrum of ``fn`` on 8192 points, cut to |k| <= 512
+        and to coefficients above 1e-13 of the largest."""
+        s = wrap_angle(TWOPI * np.arange(_FFT_SIZE) / _FFT_SIZE)
+        coeffs = np.fft.fft(np.asarray(fn(s), dtype=float)) / _FFT_SIZE
+        ks = np.fft.fftfreq(_FFT_SIZE, d=1.0 / _FFT_SIZE).astype(int)
+        mags = np.abs(coeffs)
+        keep = (mags > 1e-13 * max(mags.max(), 1e-300)) & (np.abs(ks) <= _FFT_MAX_K)
+        d = int(np.abs(ks[keep]).max(initial=0))
+        c = np.zeros(2 * d + 1, dtype=complex)
+        c[d + ks[keep]] = coeffs[keep]
+        return cls((), [(TrigPoly(c), 0)], fn=fn)
 
     @classmethod
-    def step(cls, breakpoints: Sequence[float], values: Sequence[float], label=""):
+    def step(cls, breakpoints: Sequence[float], values: Sequence[float]):
         """Piecewise constant; ``values[i]`` covers (breakpoints[i-1], breakpoints[i]]
         cyclically."""
         breaks = wrap_angle(np.asarray(breakpoints, dtype=float))
-        order = np.argsort(breaks)
-        breaks = breaks[order]
-        vals = np.asarray(values, dtype=float)[order]
-        if breaks.size != vals.size:
+        vals = np.asarray(values, dtype=float)
+        if breaks.size != vals.size or not breaks.size:
             raise ValueError("need one value per breakpoint")
+        order = np.argsort(breaks)
+        breaks, vals = breaks[order], vals[order]
+        merged = _merge_breaks(breaks)
+        idx = np.searchsorted(breaks, _midpoints(merged), side="left") % breaks.size
+        return cls(merged, [(TrigPoly.constant(vals[i]), 0) for i in idx])
 
-        def fn(s):
-            idx = np.searchsorted(breaks, np.asarray(s, dtype=float), side="left")
-            return vals[idx % vals.size]
+    # -- structure -----------------------------------------------------------
+    def _whole(self) -> TrigPoly | None:
+        """The numerator of a one-piece function without pole, else None."""
+        p, m = self.pieces[0]
+        return p if len(self.pieces) == 1 and m == 0 else None
 
-        smooth = bool(np.min(np.abs(breaks)) > 1e-9) if breaks.size else True
-        jet = None
-        if smooth and breaks.size:
-            zero_val = fn(np.array([0.0]))[0]
-            jet = np.zeros(JET_LEN)
-            jet[0] = zero_val
-        return cls(fn, breakpoints=breaks, smooth_at_zero=smooth, jet=jet, label=label)
+    @property
+    def trig(self) -> TrigPoly | None:
+        """The trig polynomial of a one-piece function without pole that does
+        not wrap a callable, else None."""
+        return self._whole() if self._fn is None else None
+
+    @property
+    def smooth_at_zero(self) -> bool:
+        b = self.breakpoints
+        return not (b.size and np.min(np.abs(b)) < 1e-9)
+
+    def _index(self, s):
+        """Piece index at wrapped angles s."""
+        n = self.breakpoints.size
+        if not n:
+            return np.zeros(np.shape(s), dtype=int)
+        return np.searchsorted(self.breakpoints, s, side="left") % n
+
+    def _refine(self, other):
+        """Common refinement: merged breakpoints and, for each new piece, the
+        indices of the pieces of self and other that hold its midpoint."""
+        breaks = _merge_breaks(self.breakpoints, other.breakpoints)
+        mids = _midpoints(breaks)
+        return breaks, zip(self._index(mids), other._index(mids))
+
+    def _key(self):
+        jet = self.jet() if self.smooth_at_zero else None
+        return (_bytes(self.breakpoints), tuple((_bytes(p.c), m) for p, m in self.pieces),
+                None if jet is None else _bytes(jet),
+                None if self._fn is None else id(self._fn))
+
+    def __eq__(self, other):
+        if not isinstance(other, PeriodicFunction):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     # -- evaluation ---------------------------------------------------------
     def __call__(self, s):
         s_arr = wrap_angle(s)
-        out = self._eval(s_arr) if self.trig is None else self.trig(s_arr)
+        if self._fn is not None:
+            out = np.asarray(self._fn(s_arr), dtype=float)
+        elif self.trig is not None:
+            out = self.trig(s_arr)
+        else:
+            flat = s_arr.ravel()
+            idx = self._index(flat)
+            out = np.empty(flat.shape)
+            for i, (p, m) in enumerate(self.pieces):
+                sel = np.flatnonzero(idx == i)
+                vals = p(flat[sel])
+                out[sel] = vals / one_minus_cos(flat[sel]) ** m if m else vals
+            out = out.reshape(s_arr.shape)
         if np.isscalar(s) or (isinstance(s, np.ndarray) and s.ndim == 0):
             return float(out)
         return np.asarray(out, dtype=float)
@@ -325,57 +366,11 @@ class PeriodicFunction:
     # -- jet / derivatives ---------------------------------------------------
     def jet(self):
         """Taylor coefficients t_0..t_8 of the function at s = 0."""
-        if self._jet is not None:
-            return self._jet
-        if not self.smooth_at_zero:
-            raise DomainError("function is not smooth at s = 0")
-        if self.trig is not None:
-            self._jet = self.trig.jet()
-        elif self.breakpoints.size:
-            self._jet = self._jet_from_zero_piece()
-        else:
-            self._jet = self._jet_from_fft()
+        if self._jet is None:
+            if not self.smooth_at_zero:
+                raise DomainError("function is not smooth at s = 0")
+            self._jet = self.pieces[int(self._index(0.0))][0].jet()
         return self._jet
-
-    def _zero_piece(self):
-        b = self.breakpoints
-        right = b[b > 1e-9]
-        left = b[b < -1e-9]
-        hi = right.min() if right.size else left.min() + TWOPI
-        lo = left.max() if left.size else right.max() - TWOPI
-        return lo, hi
-
-    def _jet_from_zero_piece(self):
-        lo, hi = self._zero_piece()
-        w_lo = max(0.85 * lo, -0.8)
-        w_hi = min(0.85 * hi, 0.8)
-        fit = npcheb.Chebyshev.interpolate(lambda u: self(u), 24, domain=[w_lo, w_hi])
-        jet = np.zeros(JET_LEN)
-        fact = 1.0
-        d = fit
-        for m in range(JET_LEN):
-            if m > 0:
-                fact *= m
-                d = d.deriv()
-            jet[m] = d(0.0) / fact
-        return jet
-
-    def _jet_from_fft(self):
-        m = 2 * GRID_M
-        s = wrap_angle(TWOPI * np.arange(m) / m)
-        coeffs = np.fft.fft(self._eval(s)) / m
-        ks = np.fft.fftfreq(m, d=1.0 / m)
-        mags = np.abs(coeffs)
-        keep = mags > 1e-13 * max(mags.max(), 1e-300)
-        keep &= np.abs(ks) <= 512
-        c, k = coeffs[keep], ks[keep]
-        jet = np.zeros(JET_LEN)
-        fact = 1.0
-        for order in range(JET_LEN):
-            if order > 0:
-                fact *= order
-            jet[order] = np.real(np.sum(c * (1j * k) ** order)) / fact
-        return jet
 
     def derivative_at_zero(self, order: int) -> float:
         if order < 0 or order >= JET_LEN:
@@ -383,85 +378,48 @@ class PeriodicFunction:
         return float(self.jet()[order] * math.factorial(order))
 
     # -- parity -------------------------------------------------------------
+    def _parity(self, sign):
+        if not self.breakpoints.size:  # one piece, its own mirror
+            return PeriodicFunction((), [_piece_parity(self.pieces[0], self.pieces[0], sign)])
+        breaks = _merge_breaks(self.breakpoints, -self.breakpoints)
+        mids = _midpoints(breaks)
+        # -mids needs no wrapping: a midpoint is never a breakpoint, so when
+        # it is +-pi, -pi and pi both lie in piece 0
+        return PeriodicFunction(breaks, [
+            _piece_parity(self.pieces[i], self.pieces[j], sign)
+            for i, j in zip(self._index(mids), self._index(-mids))])
+
     def hat(self):
         """Even part (h(s) + h(-s)) / 2."""
-        if self.trig is not None:
-            return PeriodicFunction.from_trigpoly(self.trig.even_part(),
-                                                  label=_lab("hat", self.label))
-        ev = self._eval
-        jet = None
-        if self._jet is not None:
-            jet = self._jet.copy()
-            jet[1::2] = 0.0
-        return PeriodicFunction(
-            lambda s: 0.5 * (ev(s) + ev(wrap_angle(-s))),
-            breakpoints=_merge_breaks(self.breakpoints, -self.breakpoints),
-            smooth_at_zero=self.smooth_at_zero, jet=jet,
-            label=_lab("hat", self.label))
+        return self._parity(1.0)
 
     def check(self):
         """Odd part (h(s) - h(-s)) / 2."""
-        if self.trig is not None:
-            return PeriodicFunction.from_trigpoly(self.trig.odd_part(),
-                                                  label=_lab("check", self.label))
-        ev = self._eval
-        jet = None
-        if self._jet is not None:
-            jet = self._jet.copy()
-            jet[0::2] = 0.0
-        return PeriodicFunction(
-            lambda s: 0.5 * (ev(s) - ev(wrap_angle(-s))),
-            breakpoints=_merge_breaks(self.breakpoints, -self.breakpoints),
-            smooth_at_zero=self.smooth_at_zero, jet=jet,
-            label=_lab("check", self.label))
+        return self._parity(-1.0)
 
-    def is_even(self, tol=1e-10):
-        if self.trig is not None:
-            return self.trig.is_even()
-        probes = np.linspace(0.17, 3.05, 11)
-        a, b = self(probes), self(-probes)
-        scale = max(np.abs(a).max(), np.abs(b).max(), 1.0)
-        return bool(np.abs(a - b).max() <= tol * scale)
+    def is_even(self, tol=1e-12):
+        """True when every piece of the odd part, (p - mirrored p) / 2,
+        vanishes to ``tol`` relative."""
+        scale = max(max(np.abs(p.c).max() for p, _ in self.pieces), 1.0)
+        return all(np.abs(p.c).max() <= 0.5 * tol * scale for p, _ in self.check().pieces)
 
     # -- shift ---------------------------------------------------------------
     def shifted(self, phi: float):
-        """s -> h(s + phi)."""
+        """s -> h(s + phi); defined when no piece has a pole (m = 0)."""
         phi = float(phi)
-        if self.trig is not None:
-            return PeriodicFunction.from_trigpoly(self.trig.shifted(phi),
-                                                  label=_lab(f"shift{phi:+.3g}", self.label))
-        ev = self._eval
-        if self.breakpoints.size:
-            breaks = wrap_angle(self.breakpoints - phi)
-            smooth = True  # re-derived from the shifted breakpoints in __init__
-        else:
-            breaks = ()
-            smooth = self.smooth_at_zero
-        return PeriodicFunction(
-            lambda s: ev(wrap_angle(s + phi)),
-            breakpoints=breaks, smooth_at_zero=smooth,
-            label=_lab(f"shift{phi:+.3g}", self.label))
+        if any(m for _, m in self.pieces):
+            raise DomainError("shift is defined for pieces without pole (m = 0)")
+        breaks = _merge_breaks(self.breakpoints - phi)
+        idx = self._index(wrap_angle(_midpoints(breaks) + phi)) if breaks.size else [0]
+        return PeriodicFunction(breaks, [(self.pieces[i][0].shifted(phi), 0) for i in idx])
 
     # -- arithmetic ------------------------------------------------------------
     def __add__(self, other):
-        if isinstance(other, PeriodicFunction):
-            if self.trig is not None and other.trig is not None:
-                return PeriodicFunction.from_trigpoly(self.trig + other.trig)
-            ev1, ev2 = self._eval, other._eval
-            jet = None
-            if self._has_jet() and other._has_jet():
-                jet = self.jet() + other.jet()
-            return PeriodicFunction(
-                lambda s: ev1(s) + ev2(s),
-                breakpoints=_merge_breaks(self.breakpoints, other.breakpoints),
-                smooth_at_zero=self.smooth_at_zero and other.smooth_at_zero,
-                jet=jet)
-        if self.trig is not None:
-            return PeriodicFunction.from_trigpoly(self.trig + float(other))
-        ev, c = self._eval, float(other)
-        jet = None if self._jet is None else self._jet + np.eye(JET_LEN)[0] * c
-        return PeriodicFunction(lambda s: ev(s) + c, breakpoints=self.breakpoints,
-                                smooth_at_zero=self.smooth_at_zero, jet=jet)
+        if not isinstance(other, PeriodicFunction):
+            other = PeriodicFunction.constant(float(other))
+        breaks, pairs = self._refine(other)
+        return PeriodicFunction(breaks, [_piece_sum(self.pieces[i], other.pieces[j])
+                                         for i, j in pairs])
 
     __radd__ = __add__
 
@@ -472,30 +430,19 @@ class PeriodicFunction:
         return self + (-other if isinstance(other, PeriodicFunction) else -float(other))
 
     def __mul__(self, other):
-        if isinstance(other, PeriodicFunction):
-            if self.trig is not None and other.trig is not None:
-                tp = self.trig.conv(other.trig)
-                # convolve the factor jets rather than re-deriving them from
-                # the product spectrum: this keeps identities like
-                # (h cos)(0) == h(0) and (h sin)(0) == 0 exact in floats
-                jet = np.convolve(self.jet(), other.jet())[:JET_LEN]
-                return PeriodicFunction(tp, trig=tp, jet=jet)
-            ev1, ev2 = self._eval, other._eval
-            jet = None
-            if self._has_jet() and other._has_jet():
-                jet = np.convolve(self.jet(), other.jet())[:JET_LEN]
-            return PeriodicFunction(
-                lambda s: ev1(s) * ev2(s),
-                breakpoints=_merge_breaks(self.breakpoints, other.breakpoints),
-                smooth_at_zero=self.smooth_at_zero and other.smooth_at_zero,
-                jet=jet)
-        alpha = float(other)
-        if self.trig is not None:
-            return PeriodicFunction.from_trigpoly(self.trig.scaled(alpha))
-        ev = self._eval
-        jet = None if self._jet is None else self._jet * alpha
-        return PeriodicFunction(lambda s: alpha * ev(s), breakpoints=self.breakpoints,
-                                smooth_at_zero=self.smooth_at_zero, jet=jet)
+        if not isinstance(other, PeriodicFunction):
+            alpha = float(other)
+            return PeriodicFunction(self.breakpoints,
+                                    [(p.scaled(alpha), m) for p, m in self.pieces])
+        breaks, pairs = self._refine(other)
+        jet = None
+        if self.smooth_at_zero and other.smooth_at_zero:
+            # convolve the factor jets rather than re-deriving them from
+            # the product spectrum: this keeps identities like
+            # (h cos)(0) == h(0) and (h sin)(0) == 0 exact in floats
+            jet = np.convolve(self.jet(), other.jet())[:JET_LEN]
+        return PeriodicFunction(breaks, [_piece_product(self.pieces[i], other.pieces[j])
+                                         for i, j in pairs], jet=jet)
 
     __rmul__ = __mul__
 
@@ -505,18 +452,73 @@ class PeriodicFunction:
     def times_sin(self):
         return self * SIN
 
-    def _has_jet(self):
-        # only report jets that are already materialized; everything else is
-        # computed lazily from the combined evaluator when first requested
-        return self._jet is not None or self.trig is not None
+    # -- integrals -------------------------------------------------------------
+    def integrals(self, edges, k: int = 0) -> np.ndarray:
+        """Integrals of h(s) exp(-iks) between consecutive sorted ``edges`` in
+        [-pi, pi]: exact antiderivatives on pieces with m = 0 (orthogonality
+        over one full period of a one-piece function), graded Gauss-Legendre
+        on pieces with a pole."""
+        edges = np.asarray(edges, dtype=float)
+        whole = self._whole()
+        if whole is not None and edges.size == 2 and edges[1] - edges[0] == TWOPI:
+            return np.array([TWOPI * whole.coefficient(k)])
+        b = self.breakpoints
+        inner = b[(b > edges[0]) & (b < edges[-1])]
+        pts = np.sort(np.concatenate((edges, inner))) if inner.size else edges
+        idx = self._index(0.5 * (pts[:-1] + pts[1:]))
+        out = np.empty(pts.size - 1, dtype=complex)
+        for i, (p, m) in enumerate(self.pieces):
+            sel = idx == i
+            if not sel.any():
+                continue
+            if not m:
+                out[sel] = np.diff(_antiderivative(p, k, pts))[sel]
+            else:
+                out[sel] = [_pole_integral(p, m, k, pts[j], pts[j + 1])
+                            for j in np.flatnonzero(sel)]
+        if inner.size:
+            out = np.add.reduceat(out, np.searchsorted(pts, edges[:-1]))
+        return out
 
 
-COS = PeriodicFunction.from_trig([0.0, 1.0], label="cos")
-SIN = PeriodicFunction.from_trig([0.0, 0.0], [0.0, 1.0], label="sin")
+def _bytes(a):
+    """Bytes of an array with -0.0 folded into 0.0, for hashing."""
+    return (np.asarray(a) + 0.0).tobytes()
 
 
-def _lab(op, label):
-    return f"{op}({label})" if label else ""
+def _antiderivative(p: TrigPoly, k: int, x):
+    """An antiderivative of p(s) exp(-iks), at the points x."""
+    f = np.arange(-p.degree, p.degree + 1) - k
+    anti = np.zeros((x.size, f.size), dtype=complex)
+    nonzero = f != 0
+    anti[:, nonzero] = np.exp(1j * np.outer(x, f[nonzero])) / (1j * f[nonzero])
+    anti[:, ~nonzero] = x[:, None]
+    return anti @ p.c
+
+
+def _pole_integral(p: TrigPoly, m: int, k: int, lo: float, hi: float) -> complex:
+    """Integral of p(s) exp(-iks) / (1 - cos s)^m over [lo, hi] not holding 0.
+
+    32-point Gauss-Legendre on panels whose edges double their distance from
+    the pole at 0, split further so that no panel is wider than
+    16 / (degree + |k| + 1)."""
+    near, far = (lo, hi) if lo >= 0.0 else (-hi, -lo)
+    if near <= 0.0:
+        raise DomainError("quotient piece reaches its pole at s = 0")
+    edges = near * np.exp2(np.arange(64))
+    edges = np.append(edges[edges < far], far)
+    parts = np.ceil(np.diff(edges) * (p.degree + abs(k) + 1) / 16.0).astype(int)
+    if parts.max() > 1:
+        edges = np.concatenate([np.linspace(a, b, n + 1)[:-1]
+                                for a, b, n in zip(edges[:-1], edges[1:], parts)] + [[far]])
+    t, w = panel_nodes(edges)
+    s = t if lo >= 0.0 else -t
+    vals = p(s) / one_minus_cos(s) ** m * w
+    return complex(np.sum(vals * np.exp(-1j * k * s)) if k else np.sum(vals))
+
+
+COS = PeriodicFunction.from_trig([0.0, 1.0])
+SIN = PeriodicFunction.from_trig([0.0, 0.0], [0.0, 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -528,11 +530,9 @@ def t_operator(h: PeriodicFunction, power: int = 1) -> PeriodicFunction:
     """Apply (h(s) - h(0)) / (1 - cos s), ``power`` times.
 
     At s = 0 the quotient continues to h''(0).  Requires an even function
-    that is smooth at 0.  Trig polynomials are transformed exactly through
-    their expansion in powers of 1 - cos s; other representations use a
-    direct quotient away from 0 and the Taylor jet inside |s| < s0, where
-    s0 = min(0.05, half the distance from 0 to the nearest breakpoint of h):
-    the jet describes h only up to its nearest breakpoint.
+    that is smooth at 0.  The piece holding 0 is divided exactly through its
+    Fourier coefficients; every other piece (p, m) becomes
+    (p - h(0) (1 - cos s)^m, m + 1), an exact quotient kept as data.
     """
     if power < 1:
         raise DomainError("power must be >= 1")
@@ -547,28 +547,14 @@ def _t_once(h: PeriodicFunction) -> PeriodicFunction:
         raise DomainError("difference quotient needs smoothness at s = 0")
     if not h.is_even():
         raise DomainError("difference quotient is defined for even functions")
-    if h.trig is not None:
-        h0 = float(np.real(h.trig.c.sum()))  # value at 0, summed exactly
-        return PeriodicFunction.from_trigpoly(divide_by_one_minus_cos(h.trig, h0),
-                                              label=_lab("T", h.label))
-    a = even_jet_to_x_coeffs(h.jet())
-    a_shift = a[1:]
-    h0 = float(h.jet()[0])
-    ev = h._eval
-    s0 = T_PATCH_S0
-    if h.breakpoints.size:
-        s0 = min(s0, 0.5 * float(np.min(np.abs(wrap_angle(h.breakpoints)))))
-    x0 = 1.0 - math.cos(s0)
-
-    def fn(s):
-        x = one_minus_cos(s)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            direct = (np.asarray(ev(s), dtype=float) - h0) / x
-        patch = nppoly.polyval(x, a_shift)
-        return np.where(x < x0, patch, direct)
-
-    return PeriodicFunction(fn, breakpoints=h.breakpoints, smooth_at_zero=True,
-                            jet=x_coeffs_to_jet(a_shift), label=_lab("T", h.label))
+    zero = int(h._index(0.0))
+    p0 = h.pieces[zero][0]
+    h0 = float(np.real(p0.c.sum()))  # value at 0, summed exactly
+    minus_h0 = (TrigPoly.constant(-h0), 0)
+    return PeriodicFunction(h.breakpoints, [
+        (divide_by_one_minus_cos(p, h0), 0) if i == zero
+        else (_piece_sum((p, m), minus_h0)[0], m + 1)
+        for i, (p, m) in enumerate(h.pieces)])
 
 
 # ---------------------------------------------------------------------------
@@ -589,38 +575,13 @@ def panel_nodes(edges):
     return pts.ravel(), wts.ravel()
 
 
-def panel_quad(fn, edges):
-    """Integral of ``fn`` over [edges[0], edges[-1]] split at the edges."""
-    pts, wts = panel_nodes(edges)
-    return np.sum(np.asarray(fn(pts)) * wts)
-
-
-def _segment_edges(breaks, max_panel=0.4):
-    """Edges covering (-pi, pi] split at breakpoints, panels <= max_panel."""
-    base = [-PI] + [float(b) for b in np.asarray(breaks, dtype=float)] + [PI]
-    base = sorted(set(base))
-    edges = []
-    for lo, hi in zip(base[:-1], base[1:]):
-        if hi - lo < _BREAK_MERGE_TOL:
-            continue
-        n = max(1, int(math.ceil((hi - lo) / max_panel)))
-        edges.extend(np.linspace(lo, hi, n + 1)[:-1])
-    edges.append(PI)
-    return np.array(edges)
-
-
-_UNIFORM_S = wrap_angle(TWOPI * np.arange(GRID_M) / GRID_M)
-
-
 def mean(h: PeriodicFunction) -> float:
     """Average of h over one period (the functional written I(h) in reports).
 
-    Uses the exact constant coefficient for trig polynomials, breakpoint-split
-    Gauss-Legendre panels for piecewise functions, and the periodic trapezoid
-    rule (spectrally accurate) otherwise.
+    The constant coefficient for a one-piece function without pole, else the
+    sum of the per-piece integrals of :meth:`PeriodicFunction.integrals`.
     """
-    if h.trig is not None:
-        return h.trig.mean()
-    if h.breakpoints.size:
-        return float(panel_quad(h._eval, _segment_edges(h.breakpoints))) / TWOPI
-    return float(np.mean(h._eval(_UNIFORM_S)))
+    whole = h._whole()
+    if whole is not None:
+        return whole.mean()
+    return float(np.real(h.integrals(np.array([-PI, PI]))[0])) / TWOPI

@@ -57,7 +57,7 @@ class KernelPoint:
         r, phi = float(r), float(phi)
         if not 0.0 <= r < 1.0:
             raise DomainError(f"radius {r} is not in [0, 1)")
-        return cls(z=r * cmath.exp(1j * phi), r=r, phi=wrap_angle(phi), y=1.0 - r * r)
+        return cls(z=r * cmath.exp(1j * phi), r=r, phi=float(wrap_angle(phi)), y=1.0 - r * r)
 
 
 def poisson_kernel(r: float, s) -> float | np.ndarray:

@@ -28,7 +28,7 @@ __all__ = [
 
 def uniform() -> SpectralMeasure:
     """The i.i.d.-coefficient case: density 1/(2*pi)."""
-    dens = PeriodicFunction.from_trig([1.0 / TWOPI], label="uniform")
+    dens = PeriodicFunction.from_trig([1.0 / TWOPI])
     return SpectralMeasure(density=dens, label="uniform")
 
 
@@ -37,8 +37,7 @@ def ma1(a: float) -> SpectralMeasure:
     a = float(a)
     if abs(a) > 0.5:
         raise DomainError("ma1 requires |a| <= 1/2 for a nonnegative density")
-    dens = PeriodicFunction.from_trig([1.0 / TWOPI, 2.0 * a / TWOPI],
-                                      label=f"ma1:a={a:g}")
+    dens = PeriodicFunction.from_trig([1.0 / TWOPI, 2.0 * a / TWOPI])
     return SpectralMeasure(density=dens, label=f"ma1:a={a:g}")
 
 
@@ -47,8 +46,7 @@ def indicator(lo: float, hi: float) -> SpectralMeasure:
     lo, hi = float(lo), float(hi)
     if not (-PI <= lo < hi <= PI):
         raise DomainError("need -pi <= lo < hi <= pi")
-    dens = PeriodicFunction.step([lo, hi], [0.0, 1.0 / (hi - lo)],
-                                 label=f"indicator[{lo:g},{hi:g}]")
+    dens = PeriodicFunction.step([lo, hi], [0.0, 1.0 / (hi - lo)])
     return SpectralMeasure(density=dens, label=f"indicator:lo={lo:g},hi={hi:g}")
 
 
@@ -98,7 +96,7 @@ def random_trig_density(seed: int, degree: int = 4, strictly_positive=True) -> S
     for k in range(1, d + 1):
         a[k] = 2.0 * spec[d + k].real
         b[k] = -2.0 * spec[d + k].imag
-    dens = PeriodicFunction.from_trig(a, b, label=f"randtrig:seed={seed}")
+    dens = PeriodicFunction.from_trig(a, b)
     return SpectralMeasure(density=dens, label=f"randtrig:seed={seed},degree={degree}")
 
 

@@ -74,10 +74,9 @@ def default_grid_size(N: int) -> int:
 def spectral_nodes(F: SpectralMeasure, M: int):
     """Frequency nodes and masses: density cells first, atoms last.
 
-    Step densities are integrated exactly over each cell; trig-polynomial
-    densities use their exact antiderivative; anything else takes
-    midpoint * width.  Density masses are rescaled so the total, including
-    atoms, is exactly one.
+    Each cell mass is the exact integral of the density over the cell,
+    split at its breakpoints.  Density masses are rescaled so the total,
+    including atoms, is exactly one.
     """
     F.validate_normalized()
     nodes = []
@@ -86,7 +85,7 @@ def spectral_nodes(F: SpectralMeasure, M: int):
     if F.density is not None:
         edges = -PI + TWOPI * np.arange(M + 1) / M
         mids = 0.5 * (edges[:-1] + edges[1:])
-        w = _cell_masses(F.density, edges, mids)
+        w = np.real(F.density.integrals(edges))
         total = w.sum()
         if total <= 0:
             raise DomainError("density part carries no mass")
@@ -97,32 +96,6 @@ def spectral_nodes(F: SpectralMeasure, M: int):
         nodes.append(np.array([t]))
         masses.append(np.array([m]))
     return np.concatenate(nodes), np.concatenate(masses)
-
-
-def _cell_masses(dens, edges, mids):
-    if dens.trig is not None:
-        tp = dens.trig
-        d = tp.degree
-        ks = np.arange(-d, d + 1)
-        anti = np.zeros((edges.size, 2 * d + 1), dtype=complex)
-        nonzero = ks != 0
-        anti[:, nonzero] = np.exp(1j * np.outer(edges, ks[nonzero])) / (1j * ks[nonzero])
-        anti[:, d] = edges
-        prim = np.real(anti @ tp.c)
-        return np.diff(prim)
-    if dens.breakpoints.size:
-        vals = dens(mids)
-        w = vals * np.diff(edges)
-        # correct the cells that straddle a jump by exact sub-cell lengths
-        for b in dens.breakpoints:
-            idx = np.searchsorted(edges, b) - 1
-            if 0 <= idx < mids.size:
-                lo, hi = edges[idx], edges[idx + 1]
-                left = dens(0.5 * (lo + b)) * (b - lo) if b > lo else 0.0
-                right = dens(0.5 * (b + hi)) * (hi - b) if hi > b else 0.0
-                w[idx] = left + right
-        return w
-    return dens(mids) * np.diff(edges)
 
 
 def _block_machine(F: SpectralMeasure, N: int, grid_size: int | None):

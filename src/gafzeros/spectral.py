@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NormalizationError
-from .periodic import (TWOPI, GRID_M, PeriodicFunction, mean, panel_quad,
-                       _segment_edges, t_operator, wrap_angle)
+from .periodic import PI, TWOPI, PeriodicFunction, mean, t_operator, wrap_angle
 
 __all__ = [
     "SpectralMeasure", "CovarianceSequence", "covariance", "shift",
@@ -81,25 +80,10 @@ def covariance(F: SpectralMeasure, k: int) -> complex:
     F.validate_normalized()
     out = 0.0 + 0.0j
     if F.density is not None:
-        out += _density_fourier(F.density, k)
+        out += complex(F.density.integrals([-PI, PI], k)[0])
     for t, m in F.atoms:
         out += m * np.exp(-1j * k * t)
     return complex(out)
-
-
-def _density_fourier(dens: PeriodicFunction, k: int) -> complex:
-    if dens.trig is not None:
-        tp = dens.trig
-        if abs(k) > tp.degree:
-            return 0.0 + 0.0j
-        return complex(TWOPI * tp.c[tp.degree + k])
-    if dens.breakpoints.size:
-        edges = _segment_edges(dens.breakpoints, max_panel=min(0.4, 2.0 / (abs(k) + 1)))
-        return complex(panel_quad(lambda s: dens(s) * np.exp(-1j * k * s), edges))
-    m = max(4 * GRID_M, 8 * abs(k))
-    s = wrap_angle(TWOPI * np.arange(m) / m)
-    vals = dens(s)
-    return complex(TWOPI * np.mean(vals * np.exp(-1j * k * s)))
 
 
 def shift(F: SpectralMeasure, phi: float) -> SpectralMeasure:
@@ -114,8 +98,7 @@ def shift(F: SpectralMeasure, phi: float) -> SpectralMeasure:
 def apply_T(h: PeriodicFunction, power: int = 1) -> PeriodicFunction:
     """Difference quotient (h(s) - h(0)) / (1 - cos s), iterated ``power`` times.
 
-    Unless h is a trig polynomial, the quotient is replaced by the Taylor jet
-    of h inside |s| < min(0.05, half the distance to the nearest breakpoint).
+    Exact on every piece: see :func:`~gafzeros.periodic.t_operator`.
     """
     if power not in (1, 2, 3):
         raise DomainError("power must be 1, 2 or 3")
@@ -125,9 +108,8 @@ def apply_T(h: PeriodicFunction, power: int = 1) -> PeriodicFunction:
 def derivatives_at_zero(h: PeriodicFunction, order: int) -> float:
     """Derivative of h at s = 0, order <= 4.
 
-    Exact for trig polynomials; spectral differentiation for smooth sampled
-    functions; a local polynomial fit on the surrounding constant piece for
-    step-like functions whose breakpoints avoid 0.
+    Read off the exact Taylor jet of the piece holding 0 (for a wrapped
+    callable, of its FFT spectrum); requires no breakpoint at 0.
     """
     if order < 0 or order > 4:
         raise DomainError("order must be between 0 and 4")

@@ -39,6 +39,29 @@ def test_variance_overflow_goes_to_log_space():
     assert variance_alpha(A0, 0.9, 512) == math.inf
 
 
+def _log_variance_uniform(r, k):
+    """log of (1-r^2)^-(k+1) P_k((1+r^2)/(1-r^2)), the exact uniform variance,
+    with the Legendre polynomial P_k by its three-term recurrence, rescaled
+    whenever it passes 1e100."""
+    y = (1.0 - r) * (1.0 + r)
+    x = (1.0 + r * r) / y
+    prev, cur, log_scale = 0.0, 1.0, 0.0
+    for n in range(k):
+        prev, cur = cur, ((2 * n + 1) * x * cur - n * prev) / (n + 1)
+        if cur > 1e100:
+            prev, cur, log_scale = prev / cur, 1.0, log_scale + math.log(cur)
+    return -(k + 1) * math.log(y) + math.log(cur) + log_scale
+
+
+@pytest.mark.parametrize("r", [0.9, 0.999, 1 - 1e-5, 1 - 1e-6])
+def test_log_variance_uniform_matches_legendre_closed_form(r):
+    # 1 - cos t formed by subtraction put 3.1e-3 into log var_512 at r = 1 - 1e-6
+    ks = np.array([0, 1, 7, 100, 512])
+    lv = log_variance_alpha(presets.uniform(), r, ks)
+    want = [_log_variance_uniform(r, int(k)) for k in ks]
+    assert lv == pytest.approx(want, rel=1e-13)
+
+
 def test_variance_vectorized_ks():
     U = presets.uniform()
     lv = log_variance_alpha(U, 0.5, np.array([1, 2, 4]))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from gafzeros.errors import DomainError
 from gafzeros.periodic import (SIN, PeriodicFunction, TrigPoly,
                                divide_by_one_minus_cos, mean, one_minus_cos,
-                               t_operator, wrap_angle)
+                               panel_nodes, t_operator, wrap_angle)
 
 S_GRID = np.linspace(-3.1, 3.1, 41)
 
@@ -209,3 +209,126 @@ def test_mean_trapezoid_smooth_accuracy():
     from math import factorial
     i0 = sum((0.7 / 2) ** (2 * m) / factorial(m) ** 2 for m in range(25))
     assert mean(g) == pytest.approx(i0, rel=1e-12)
+
+
+# ------------------------------------------- piecewise algebra against closures
+
+def _trig_oracle(a, b):
+    def fn(s):
+        return sum(a[k] * np.cos(k * s) + b[k] * np.sin(k * s) for k in range(len(a)))
+    return fn
+
+
+def _step_oracle(breaks, values):
+    order = np.argsort(breaks)
+    bs, vs = np.asarray(breaks)[order], np.asarray(values)[order]
+
+    def fn(s):
+        return vs[np.searchsorted(bs, wrap_angle(s), side="left") % bs.size]
+    return fn
+
+
+@st.composite
+def trig_step_mixtures(draw):
+    """(function, pointwise closure oracle, breakpoints, second derivative at
+    0) for a random trig polynomial combined with a random step whose jumps
+    stay 0.3 from 0."""
+    degree = draw(st.integers(min_value=0, max_value=3))
+    coeff = st.floats(-1, 1, allow_nan=False)
+    a = draw(st.lists(coeff, min_size=degree + 1, max_size=degree + 1))
+    b = [0.0] + draw(st.lists(coeff, min_size=degree, max_size=degree))
+    slots = draw(st.lists(st.integers(-27, 27).filter(lambda j: j != 0),
+                          min_size=1, max_size=3, unique=True))
+    breaks = [np.sign(j) * (0.2 + 0.1 * abs(j)) for j in slots]
+    values = draw(st.lists(coeff, min_size=len(breaks), max_size=len(breaks)))
+    trig, ot = PeriodicFunction.from_trig(a, b), _trig_oracle(a, b)
+    step, os_ = PeriodicFunction.step(breaks, values), _step_oracle(breaks, values)
+    d2 = -sum(k * k * a[k] for k in range(len(a)))
+    if draw(st.booleans()):
+        return trig + step, (lambda s: ot(s) + os_(s)), breaks, d2
+    return trig * step, (lambda s: ot(s) * os_(s)), breaks, d2 * float(os_(0.0))
+
+
+_PROBE = np.linspace(-np.pi, np.pi, 1201)[1:]
+
+
+def _assert_matches(h, oracle, breaks, away_from_zero=0.0):
+    b = wrap_angle(np.asarray(breaks, dtype=float))
+    gap = np.abs(wrap_angle(_PROBE[:, None] - b[None, :])).min(axis=1) if b.size else np.inf
+    s = _PROBE[(gap > 1e-6) & (np.abs(_PROBE) > away_from_zero)]
+    want = oracle(s)
+    assert np.allclose(h(s), want, rtol=1e-10, atol=1e-10 * max(1.0, np.abs(want).max()))
+
+
+def _fine_mean(oracle, breaks):
+    edges = np.unique(np.concatenate(([-np.pi, np.pi], wrap_angle(np.asarray(breaks)))))
+    fine = np.concatenate([np.linspace(lo, hi, 41)[:-1] for lo, hi in zip(edges[:-1], edges[1:])]
+                          + [[np.pi]])
+    pts, wts = panel_nodes(fine)
+    return float(np.sum(oracle(pts) * wts)) / (2 * np.pi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(trig_step_mixtures(), trig_step_mixtures(), st.floats(-3, 3, allow_nan=False))
+def test_piece_algebra_matches_closure_oracle(fa, fb, phi):
+    (f, of, bf, _), (g, og, bg, _) = fa, fb
+    mirrored = bf + [-x for x in bf]
+    cases = [
+        (f, of, bf),
+        (f + g, lambda s: of(s) + og(s), bf + bg),
+        (f * g, lambda s: of(s) * og(s), bf + bg),
+        (f.shifted(phi), lambda s: of(wrap_angle(s + phi)), [x - phi for x in bf]),
+        (f.hat(), lambda s: 0.5 * (of(s) + of(-s)), mirrored),
+        (f.check(), lambda s: 0.5 * (of(s) - of(-s)), mirrored),
+    ]
+    for h, oracle, breaks in cases:
+        _assert_matches(h, oracle, breaks)
+        assert mean(h) == pytest.approx(_fine_mean(oracle, breaks), rel=1e-10, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(trig_step_mixtures())
+def test_t_operator_matches_closure_oracle(fa):
+    f, of, bf, d2 = fa
+    h = f.hat()
+    assert h.is_even()
+    mirrored = bf + [-x for x in bf]
+    h0 = float(of(0.0))
+
+    def oh(s):
+        return 0.5 * (of(s) + of(-s))
+
+    def ot(s):
+        return (oh(s) - h0) / one_minus_cos(s)
+
+    th = t_operator(h)
+    _assert_matches(th, ot, mirrored, away_from_zero=0.05)
+    assert th(0.0) == pytest.approx(d2, rel=1e-10, abs=1e-10)
+    assert mean(th) == pytest.approx(_fine_mean(ot, mirrored), rel=1e-9, abs=1e-10)
+    _assert_matches(t_operator(h, 2), lambda s: (ot(s) - d2) / one_minus_cos(s),
+                    mirrored, away_from_zero=0.2)
+
+
+def test_quotient_pieces_refuse_shift_and_allow_parity():
+    tq = t_operator(PeriodicFunction.step([-1.0, 1.0], [0.0, 2.0]))
+    assert [m for _, m in tq.pieces] == [1, 0]
+    with pytest.raises(DomainError):
+        tq.shifted(0.1)
+    assert tq.is_even()
+    assert np.allclose(tq.hat()(S_GRID), tq(S_GRID), rtol=1e-14)
+
+
+def test_pole_mean_graded_near_breakpoint():
+    # T of the step that is 2 off (-d, d] is 2 / (1 - cos s) there, and
+    # int_d^(2 pi - d) 2 / (1 - cos s) ds = 4 cot(d / 2); the quotient piece
+    # ends d = 0.002 from its pole at 0
+    d = 0.002
+    tq = t_operator(PeriodicFunction.step([-d, d], [2.0, 0.0]))
+    assert mean(tq) == pytest.approx(4 / math.tan(d / 2) / (2 * np.pi), rel=1e-13)
+
+
+def test_is_even_reads_pieces():
+    f = PeriodicFunction.step([-1.0, 1.0], [0.0, 1.0])
+    assert f.is_even()
+    assert not f.shifted(0.1).is_even()
+    assert f.shifted(0.1).hat().is_even()

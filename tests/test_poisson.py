@@ -26,6 +26,16 @@ def test_kernel_point_validation():
         KernelPoint.from_polar(-0.1, 0.0)
 
 
+def test_kernel_point_phi_is_a_hashable_float():
+    polar = KernelPoint.from_polar(0.5, 7.0)
+    assert type(polar.phi) is float
+    assert polar.phi == pytest.approx(7.0 - 2 * math.pi, abs=1e-15)
+    assert hash(polar) == hash(KernelPoint.from_polar(0.5, 7.0))
+    cart = KernelPoint.from_z(polar.z)
+    assert type(cart.phi) is float
+    assert hash(cart) == hash(KernelPoint.from_z(polar.z))
+
+
 def test_poisson_kernel_values():
     s = np.linspace(-3, 3, 25)
     assert np.allclose(poisson_kernel(0.0, s), 1.0)

@@ -32,6 +32,37 @@ ALL_PRESETS = [
 
 # ---------------------------------------------------------------------- covariance
 
+REBUILT_PRESETS = [text for text, _ in presets.PRESET_EXAMPLES] + [
+    "indicator:lo=-1,hi=2.5", "mix:0.5*uniform+0.5*indicator:lo=-1,hi=1",
+    "random_trig_density(3)"]
+
+
+def _build(text):
+    if text == "random_trig_density(3)":
+        return presets.random_trig_density(3)
+    return presets.parse_preset(text)
+
+
+@pytest.mark.parametrize("text", REBUILT_PRESETS)
+def test_rebuilt_preset_compares_and_hashes_equal(text):
+    a, b = _build(text), _build(text)
+    assert a == b
+    assert hash(a) == hash(b)
+    if a.density is not None:
+        assert a.density == b.density
+        assert hash(a.density) == hash(b.density)
+        assert a.density != 2.0 * b.density
+        assert a.density.shifted(0.25) == b.density.shifted(0.25)
+    assert len({a, b}) == 1
+
+
+def test_callable_densities_compare_by_identity():
+    fn = lambda s: np.exp(np.cos(s))  # noqa: E731
+    a, b = PeriodicFunction.from_callable(fn), PeriodicFunction.from_callable(fn)
+    assert a == b and hash(a) == hash(b)
+    assert a != PeriodicFunction.from_callable(lambda s: np.exp(np.cos(s)))
+
+
 def test_covariance_uniform():
     U = presets.uniform()
     assert covariance(U, 0) == pytest.approx(1.0, abs=1e-14)
