@@ -228,7 +228,9 @@ def rho1_boundary(F: SpectralMeasure, phi: float):
         report = ExpansionReport(coefficients=coeffs, valid_order=-1,
                                  source="boundary_case_ii", inputs=f)
         return "ii", report
-    num = f["I_T2gh"] ** 2 - f["I_T2ghcos"] ** 2 - f["I_T2gcsin"] ** 2
+    # I(T^2 ghat)^2 - I(T^2 ghat cos)^2 - I(T^2 gcheck sin)^2 with the first two
+    # factored by I(T^2 ghat (1 - cos)) = I(T ghat): near a jump they cancel
+    num = i1 * (2.0 * f["I_T2gh"] - i1) - f["I_T2gcsin"] ** 2
     coeffs = {0: num / (4.0 * i1 * i1) / PI}
     report = ExpansionReport(coefficients=coeffs, valid_order=0,
                              source="boundary_case_iii", inputs=f)

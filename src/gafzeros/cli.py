@@ -115,8 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--z", default="", help="complex point, e.g. '0.3+0.4j' "
                    "(alternative to --r/--phi)")
     d.add_argument("--method", default="auto",
-                   choices=["auto", "spectral", "spectral_double", "qform",
-                            "q_form", "ek", "ek_numeric"])
+                   choices=["auto", "closed_form", "spectral", "spectral_double",
+                            "qform", "q_form", "ek", "ek_numeric"])
     d.set_defaults(func=cmd_density)
 
     a = sub.add_parser("asymptote", help="boundary expansion in one direction")

@@ -199,13 +199,14 @@ _ZERO_TOL = 1e-12
 def classify_arcs(F: SpectralMeasure, resolution: int = 4096) -> list[Arc]:
     """Partition the circle into maximal arcs outside/inside the support.
 
-    Works from the breakpoint representation of the density (plus atoms);
+    Works from the breakpoint representation of the density (plus atoms),
+    where a piece lies outside the support when its coefficients all vanish;
     densities without breakpoints are probed at ``resolution`` points: an
     everywhere-positive probe means full support, isolated zeros do not open
     arcs, but an apparent run of zeros without breakpoint backing raises
     SupportUnknown rather than guessing endpoints numerically.
     """
-    atoms = sorted(wrap_angle(t) for t, _ in F.atoms)
+    atoms = sorted(float(wrap_angle(t)) for t, _ in F.atoms)
     if F.density is None:
         if not atoms:
             raise DomainError("measure carries no mass")
@@ -220,7 +221,7 @@ def classify_arcs(F: SpectralMeasure, resolution: int = 4096) -> list[Arc]:
 
     dens = F.density
     if dens.breakpoints.size:
-        support_arcs = _support_from_pieces(dens, resolution)
+        support_arcs = _support_from_pieces(dens)
     else:
         probe = wrap_angle(-PI + TWOPI * (np.arange(resolution) + 0.5) / resolution)
         vals = dens(probe)
@@ -253,15 +254,14 @@ def _zero_runs(mask):
     return runs
 
 
-def _support_from_pieces(dens, resolution: int):
+def _support_from_pieces(dens):
+    """Arcs of the pieces not identically zero (piece i + 1 is (b[i], b[i + 1]])."""
     breaks = list(dens.breakpoints)
     edges = breaks + [breaks[0] + TWOPI]
-    per_piece = max(8, resolution // max(len(breaks), 1))
     pieces = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        probe = wrap_angle(np.linspace(lo, hi, per_piece + 2)[1:-1])
-        occupied = bool(np.max(np.abs(dens(probe))) > _ZERO_TOL)
-        pieces.append((lo, hi, occupied))
+    for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+        p = dens.pieces[(i + 1) % len(breaks)][0]
+        pieces.append((lo, hi, bool(np.max(np.abs(p.c)) > _ZERO_TOL)))
     merged = []
     for lo, hi, occ in pieces:
         if merged and merged[-1][2] == occ and abs(merged[-1][1] - lo) < 1e-12:

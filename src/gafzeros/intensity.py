@@ -1,5 +1,8 @@
-"""First intensity of the zero process, by three independent routes.
+"""First intensity of the zero process, by four independent routes.
 
+* ``rho1_closed_form``: the kernel moments in closed form, as Fourier sums
+  for a trig density and arc integrals for a step (and their sum); the
+  ``auto`` route where it applies.
 * ``rho1_spectral``: the double integral against the rotated measure,
   collapsed to three single integrals through
   1 - cos(t - s) = 1 - cos t cos s - sin t sin s.  Works for any measure,
@@ -7,23 +10,24 @@
 * ``rho1_qform``: the same ratio written through the kernel averages of the
   symmetrized density slice; absolutely continuous measures only.
 * ``rho1_ek_numeric``: a five-point discrete Laplacian of log K(z, z),
-  kept deliberately independent of the other two as a cross-check oracle.
+  kept deliberately independent of the others as a cross-check oracle.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
 
 from .errors import (CaseMismatch, DegenerateDenominator, DomainError,
                      MethodUnavailable)
-from .periodic import PI, TWOPI, PeriodicFunction, one_minus_cos, panel_nodes, wrap_angle
+from .periodic import PI, TWOPI, PeriodicFunction, TrigPoly, one_minus_cos, panel_nodes, wrap_angle
 from .poisson import K_diag, KernelPoint, _check_radius, _kernel_nodes, poisson_kernel
 from .spectral import SpectralMeasure
 
 __all__ = [
-    "rho1", "rho1_spectral", "rho1_qform", "rho1_ek_numeric",
+    "rho1", "rho1_closed_form", "rho1_spectral", "rho1_qform", "rho1_ek_numeric",
     "sr_value", "sr_positive_form",
 ]
 
@@ -33,12 +37,14 @@ _DENOM_FLOOR = 1e-150
 def rho1(F: SpectralMeasure, z: complex, method: str = "auto") -> float:
     """Dispatch a zero-density query to the chosen route.
 
-    ``auto`` picks the quadratic-form route when the measure is absolutely
-    continuous (cheaper and better conditioned) and the general double
-    integral otherwise.
+    ``auto`` picks the closed form where it applies, else the quadratic form
+    for an absolutely continuous measure and the double integral otherwise.
     """
     if method == "auto":
-        method = "q_form" if (F.density is not None and not F.atoms) else "spectral_double"
+        closed = F.density is None or F.density.wave_and_levels() is not None
+        method = "closed_form" if closed else "spectral_double" if F.atoms else "q_form"
+    if method == "closed_form":
+        return rho1_closed_form(F, z)
     if method in ("spectral_double", "spectral"):
         return rho1_spectral(F, z)
     if method in ("q_form", "qform"):
@@ -48,8 +54,28 @@ def rho1(F: SpectralMeasure, z: complex, method: str = "auto") -> float:
     raise DomainError(f"unknown intensity method {method!r}")
 
 
-def _rotated_atoms(F: SpectralMeasure, phi: float):
-    return [(wrap_angle(t - phi), m) for t, m in F.atoms]
+def _with_atoms(moments, F: SpectralMeasure, pt: KernelPoint, y: float):
+    """Add the exact atom terms to the density moments (minus, plus, s, b),
+    with the Poisson kernel y / (1 - 2r cos s + r^2) on the given y."""
+    minus, plus, s_, b = moments
+    for u, m in [(wrap_angle(t - pt.phi), m) for t, m in F.atoms]:
+        x = float(one_minus_cos(u))
+        pk = y / ((1.0 - pt.r) ** 2 + 2.0 * pt.r * x)
+        minus += m * x * pk**2
+        plus += m * (2.0 - x) * pk**2
+        s_ += m * math.sin(u) * pk**2
+        b += m * pk
+    return minus, plus, s_, b
+
+
+def _ratio(moments, z: complex, y: float) -> float:
+    """The zero density (minus plus - s^2) / (pi y^2 b^2) from the moments."""
+    minus, plus, s_, b = moments
+    if not np.isfinite(b) or b <= _DENOM_FLOOR:
+        raise DegenerateDenominator(
+            f"harmonic extension underflowed at z = {z!r} "
+            f"(value {b!r}); the measure carries no mass near this direction")
+    return (minus * plus - s_ * s_) / (PI * y**2 * b * b)
 
 
 def _moment_integrals(F: SpectralMeasure, pt: KernelPoint):
@@ -73,14 +99,98 @@ def _moment_integrals(F: SpectralMeasure, pt: KernelPoint):
         plus += float(np.sum(fv * (2.0 - x) * pk2))
         s_ += float(np.sum(fv * np.sin(pts) * pk2))
         b += float(np.sum(fv * pk))
-    for u, m in _rotated_atoms(F, pt.phi):
-        pk2 = poisson_kernel(pt.r, u) ** 2
-        x = float(one_minus_cos(u))
-        minus += m * x * pk2
-        plus += m * (2.0 - x) * pk2
-        s_ += m * math.sin(u) * pk2
-        b += m * poisson_kernel(pt.r, u)
-    return minus, plus, s_, b
+    return _with_atoms((minus, plus, s_, b), F, pt, pt.y)
+
+
+def _trig_moments(tp: TrigPoly, phi: float, r: float):
+    """Moments of tp rotated by phi (c_k -> c_k e^(ik phi)) as finite sums
+    2 pi sum_k c_k g_(-k) over the kernel coefficients g_k: r^|k| for P,
+    a_k = |k| r^|k| + (1 + r^2) r^|k|/y for P^2, (1 - r)/(1 + r) at k = 0 and
+    (1 - r) r^(|k|-1) (r/(1 + r) - |k| (1 - r)/2) beyond for (1 - cos) P^2,
+    2 a_k minus those for (1 + cos) P^2, and y k r^(|k|-1)/2i for sin P^2.
+    The O(1/y) part of a_k multiplies h(0) + sum_k c_k expm1(|k| log r), so
+    a density vanishing at the kernel center does not cancel it away."""
+    d, c = tp.degree, tp.c.tolist()
+    A, B = 1.0 - r, 1.0 + r
+    log_r = math.log(r) if r > 0.0 else -math.inf
+    h0 = c[d].real
+    minus, plus, tail, odd, r_below = h0 * A / B, -h0 * A / B, 0.0, 0.0, 1.0
+    for k in range(1, d + 1):
+        rot = cmath.exp(1j * k * phi)
+        up, down = c[d + k] * rot, c[d - k] * rot.conjugate()
+        even = (up + down).real
+        m_k = A * r_below * (r / B - 0.5 * A * k)
+        h0 += even
+        tail += even * math.expm1(k * log_r)
+        minus += even * m_k
+        plus += even * (2.0 * k * r_below * r - m_k)
+        odd += k * r_below * (up - down).imag
+        r_below *= r
+    plus += 2.0 * (1.0 + r * r) / (A * B) * (h0 + tail)
+    return TWOPI * minus, TWOPI * plus, -PI * A * B * odd, TWOPI * (h0 + tail)
+
+
+def _half_point(s: float, A: float, B: float):
+    """(tail, integrals of P, (1 - cos) P^2 and (1 + cos) P^2) for s in [0, pi].
+
+    With v = B tan(s/2)/A they are 2 arctan v, (2A/B) G(v) and (2B/A) H(v)
+    from 0 to s (a head, v <= 1), and 2 arctan w, (2A/B) H(w), (2B/A) G(w)
+    from s to pi (a tail, w = 1/v <= 1), G, H = arctan -+ t/(1 + t^2): no
+    large values then cancel off the support.  G(t) below 1/2 is summed as
+    sum_(n>=1) (-1)^(n+1) 2n/(2n+1) t^(2n+1), to 1e-17 of its first term."""
+    sn, cs = math.sin(0.5 * s), math.cos(0.5 * s)
+    tail = B * sn > A * cs
+    t = A * cs / (B * sn) if tail else B * sn / (A * cs)
+    at = math.atan(t)
+    g, power, n = (at - t / (1.0 + t * t) if t > 0.5 else 0.0), t**3, 1
+    while t <= 0.5 and power > 1e-17 * t**3:
+        g += (1 if n % 2 else -1) * 2.0 * n / (2 * n + 1) * power
+        power, n = power * t * t, n + 1
+    g, h = (2.0 * at - g, g) if tail else (g, 2.0 * at - g)
+    return tail, (2.0 * at, 2.0 * A / B * g, 2.0 * B / A * h)
+
+
+def _arc_moments(lo: float, hi: float, r: float):
+    """Moments of a unit level on the arc from lo to hi (the whole circle when
+    they meet mod 2 pi): the even ones over the arc cut at 0 and +-pi, folded
+    onto [0, pi]; the sine one as y^2 (cos a - cos b) / (D(a) D(b)),
+    D = 1 - 2r cos + r^2, cos a - cos b = 2 sin((a + b)/2) sin((b - a)/2)."""
+    A, B = 1.0 - r, 1.0 + r
+    a, b = math.remainder(lo, TWOPI), math.remainder(hi, TWOPI)
+    even = [0.0, 0.0, 0.0]
+    for s1, s2 in ([(a, b)] if a < b else [(a, PI), (-PI, b)]):
+        for h1, h2 in ([(-s2, -s1)] if s2 <= 0.0 else [(s1, s2)] if s1 >= 0.0
+                       else [(0.0, -s1), (0.0, s2)]):
+            (tail1, v1), (tail2, v2) = _half_point(h1, A, B), _half_point(h2, A, B)
+            half = (PI, PI * A / B, PI * B / A) if tail2 and not tail1 else (0.0, 0.0, 0.0)
+            even = [e + f + (v if tail1 else -v) + (-w if tail2 else w)
+                    for e, f, v, w in zip(even, half, v1, v2)]
+    d_ab = (A * A + 4.0 * r * math.sin(0.5 * a) ** 2) * (A * A + 4.0 * r * math.sin(0.5 * b) ** 2)
+    s_ = 2.0 * (A * B) ** 2 * math.sin(0.5 * (a + b)) * math.sin(0.5 * (b - a)) / d_ab
+    return even[1], even[2], s_, even[0]
+
+
+def rho1_closed_form(F: SpectralMeasure, z: complex) -> float:
+    """Zero density at z from the moments of ``_moment_integrals`` in closed
+    form, the density split into a trig wave over the circle plus a constant
+    level on each piece.  The moments are exact in r, so the ratio takes
+    y = (1 - r)(1 + r); it is scale invariant, so normalization is not checked."""
+    pt = KernelPoint.from_z(z)
+    _check_radius(pt.r)
+    y = (1.0 - pt.r) * (1.0 + pt.r)
+    moments = [0.0, 0.0, 0.0, 0.0]
+    if F.density is not None:
+        split = F.density.wave_and_levels()
+        if split is None:
+            raise MethodUnavailable("closed_form needs pieces differing only in a constant")
+        wave, levels = split
+        breaks = F.density.breakpoints.tolist()
+        moments = list(_trig_moments(wave if breaks else F.density.pieces[0][0], pt.phi, pt.r))
+        for i, level in enumerate(levels if breaks else ()):
+            if level:
+                arc = _arc_moments(breaks[i - 1] - pt.phi, breaks[i] - pt.phi, pt.r)
+                moments = [m + level * a for m, a in zip(moments, arc)]
+    return _ratio(_with_atoms(moments, F, pt, y), z, y)
 
 
 def rho1_spectral(F: SpectralMeasure, z: complex) -> float:
@@ -93,18 +203,13 @@ def rho1_spectral(F: SpectralMeasure, z: complex) -> float:
     F.validate_normalized()
     pt = KernelPoint.from_z(z)
     _check_radius(pt.r)
-    minus, plus, s_, b = _moment_integrals(F, pt)
-    if not np.isfinite(b) or b <= _DENOM_FLOOR:
-        raise DegenerateDenominator(
-            f"harmonic extension underflowed at z = {z!r} "
-            f"(value {b!r}); the measure carries no mass near this direction")
-    num = minus * plus - s_ * s_
-    return num / (PI * pt.y**2 * b * b)
+    return _ratio(_moment_integrals(F, pt), z, pt.y)
 
 
 def _qform_parts(f_phi: PeriodicFunction, r: float):
-    """P(fhat) and the numerator functional, on one kernel rule shared by
-    both, the numerator in its cancellation-free product form:
+    """Q(fhat (1-cos)), Q(fhat (1+cos)), Q(fcheck sin) and P(fhat) on one
+    kernel rule, the numerator to be formed in its cancellation-free product
+    form:
 
         Q(fhat)^2 - Q(fhat cos)^2 - Q(fcheck sin)^2
           = Q(fhat (1-cos)) Q(fhat (1+cos)) - Q(fcheck sin)^2.
@@ -125,7 +230,7 @@ def _qform_parts(f_phi: PeriodicFunction, r: float):
     q_minus = float(np.sum(fh * x)) / TWOPI
     q_plus = float(np.sum(fh * (2.0 - x))) / TWOPI
     q_sin = float(np.sum(f_phi.check()(pts) * np.sin(pts) * pk2 * wts)) / TWOPI
-    return p_hat, q_minus * q_plus - q_sin * q_sin
+    return q_minus, q_plus, q_sin, p_hat
 
 
 def rho1_qform(F: SpectralMeasure, z: complex) -> float:
@@ -136,10 +241,7 @@ def rho1_qform(F: SpectralMeasure, z: complex) -> float:
         raise MethodUnavailable("q_form requires a density")
     pt = KernelPoint.from_z(z)
     _check_radius(pt.r)
-    p_hat, s_r = _qform_parts(F.relative_density(pt.phi), pt.r)
-    if not np.isfinite(p_hat) or p_hat <= _DENOM_FLOOR:
-        raise DegenerateDenominator(f"Poisson average underflowed at z = {z!r}")
-    return s_r / (PI * pt.y**2 * p_hat * p_hat)
+    return _ratio(_qform_parts(F.relative_density(pt.phi), pt.r), z, pt.y)
 
 
 def rho1_ek_numeric(F: SpectralMeasure, z: complex, step: float | None = None) -> float:
@@ -178,7 +280,8 @@ def sr_value(F: SpectralMeasure, phi: float, r: float) -> float:
     if F.atoms or F.density is None:
         raise MethodUnavailable("numerator functional requires a pure density")
     r = _check_radius(r)
-    return _qform_parts(F.relative_density(phi), r)[1]
+    q_minus, q_plus, q_sin, _ = _qform_parts(F.relative_density(phi), r)
+    return q_minus * q_plus - q_sin * q_sin
 
 
 def sr_positive_form(F: SpectralMeasure, phi: float) -> float:

@@ -246,7 +246,7 @@ class PeriodicFunction:
     hash by breakpoints, pieces and jet; a wrapped callable by identity.
     """
 
-    __slots__ = ("breakpoints", "pieces", "_jet", "_fn")
+    __slots__ = ("breakpoints", "pieces", "_jet", "_fn", "_levels")
 
     def __init__(self, breakpoints, pieces, *, jet=None, fn=None):
         self.breakpoints = np.asarray(breakpoints, dtype=float)
@@ -255,6 +255,7 @@ class PeriodicFunction:
             raise ValueError("need one piece per breakpoint interval")
         self._jet = None if jet is None else np.asarray(jet, dtype=float)
         self._fn = fn
+        self._levels = False  # wave_and_levels, once computed
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -309,6 +310,20 @@ class PeriodicFunction:
         """The trig polynomial of a one-piece function without pole that does
         not wrap a callable, else None."""
         return self._whole() if self._fn is None else None
+
+    def wave_and_levels(self):
+        """``(w, levels)`` with h = w + levels[i] on piece i, w a trig polynomial
+        without constant term, when h wraps no callable and its pieces have no
+        pole and differ only in their constant term (trig, step, or their sum)."""
+        if self._levels is False:
+            d = max(p.degree for p, _ in self.pieces)
+            specs = [_padded(p.c, d) for p, _ in self.pieces]
+            wave = np.where(np.arange(2 * d + 1) == d, 0.0, specs[0])
+            same = self._fn is None and all(
+                m == 0 and np.array_equal(np.delete(c, d), np.delete(wave, d))
+                for c, (_, m) in zip(specs, self.pieces))
+            self._levels = (TrigPoly(wave), [float(c[d].real) for c in specs]) if same else None
+        return self._levels
 
     @property
     def smooth_at_zero(self) -> bool:

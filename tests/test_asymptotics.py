@@ -195,14 +195,18 @@ def test_boundary_case_ii_degenerate_ma1():
 
 
 def test_boundary_case_iii_half_interval():
-    # the last eight lie within 0.05 of a jump, where the quotient pieces
-    # have their pole at distance d from the jump; the closest two (d = 0.002)
-    # were 7.4% off while the means used fixed 0.4-rad panels
+    # the last fourteen lie within 0.05 of a jump, where the quotient pieces
+    # have their pole at distance d from the jump; the d = 0.002 pair was
+    # 7.4% off while the means used fixed 0.4-rad panels, and the
+    # d = 1e-4..1e-6 pairs lost up to 3e-4 while the numerator was formed
+    # from squares growing like 1/d^6
     for phi, rel in ((2.0, 1e-9), (3 * math.pi / 4, 1e-9), (2.8, 1e-9),
                      (math.pi / 2 + 0.0222, 1e-7), (-(math.pi / 2 + 0.0222), 1e-7),
                      (math.pi / 2 + 0.04, 1e-7), (-(math.pi / 2 + 0.04), 1e-7),
                      (math.pi / 2 + 0.005, 1e-6), (-(math.pi / 2 + 0.005), 1e-6),
-                     (math.pi / 2 + 0.002, 1e-6), (-(math.pi / 2 + 0.002), 1e-6)):
+                     (math.pi / 2 + 0.002, 1e-6), (-(math.pi / 2 + 0.002), 1e-6),
+                     *((s * (math.pi / 2 + d), 1e-9)
+                       for d in (1e-4, 1e-5, 1e-6) for s in (1, -1))):
         case, rep = rho1_boundary(presets.indicator(-math.pi / 2, math.pi / 2), phi)
         assert case == "iii"
         want = 1 / (12 * math.pi * math.cos(phi) ** 2)

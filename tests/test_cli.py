@@ -51,6 +51,30 @@ def test_density_ek_matches_spectral(capsys):
     assert abs(a - b) <= 1e-3 * abs(b)
 
 
+@pytest.mark.parametrize("preset", [
+    "ma1:a=0.5", "indicator:lo=-1.5707963267948966,hi=1.5707963267948966",
+    "mix:0.5*uniform+0.5*indicator:lo=-1,hi=1"])
+def test_density_closed_form_matches_qform(capsys, preset):
+    base = ["--preset", preset, "--r", "0.999", "--phi", "2.5"]
+    runs = {}
+    for method in ("closed_form", "q_form", "auto"):
+        code, out, _ = run_cli(capsys, "density", *base, "--method", method)
+        assert code == 0
+        runs[method] = out.strip().splitlines()
+    want = float(parse_kv("\n".join(runs["q_form"]))["rho1"])
+    for method in ("closed_form", "auto"):
+        lines = runs[method]
+        assert float(parse_kv("\n".join(lines))["rho1"]) == pytest.approx(want, rel=1e-9)
+        # the same keys in the same order; only the value's last digits move
+        assert [ln.split("=")[0] for ln in lines] == ["preset", "r", "phi", "method", "rho1"]
+        assert lines[:3] == runs["q_form"][:3]
+        assert lines[3] == f"method={method}"
+    code, _, err = run_cli(capsys, "density", "--preset", "uniform",
+                           "--r", "0.99999999", "--method", "closed_form")
+    assert code == 3
+    assert "precision" in err
+
+
 def test_density_half_interval_near_flat_constant(capsys):
     code, out, _ = run_cli(
         capsys, "density",

@@ -193,6 +193,31 @@ def test_classify_smooth_positive_density():
     assert len(arcs) == 1 and arcs[0].kind == "singular"
 
 
+def _three_step():
+    dens = PeriodicFunction.step([-2.0, 0.5, 2.5], [0.3, 0.0, 0.7])
+    return SpectralMeasure(density=dens * (1.0 / (0.3 * (2 * math.pi - 4.5) + 0.7 * 2.0)))
+
+
+@pytest.mark.parametrize("F, want", [
+    (presets.indicator(-HALF, HALF),
+     [(-HALF, HALF, "singular"), (HALF, 3 * HALF, "regular")]),
+    (_three_step(),
+     [(0.5, 2 * math.pi - 2.0, "singular"), (2 * math.pi - 2.0, 2 * math.pi + 0.5, "regular")]),
+    (presets.parse_preset("mix:0.5*uniform+0.5*indicator:lo=-1,hi=1"),
+     [(-math.pi, math.pi, "singular")]),
+    (presets.parse_preset("mix:0.5*indicator:lo=-1,hi=1+0.5*atoms:[(2.5,1)]"),
+     [(-1.0, 1.0, "singular"), (1.0, 2.5, "regular"), (2.5, 2.5, "singular"),
+      (2.5, 2 * math.pi - 1.0, "regular")]),
+], ids=["indicator", "three-step", "uniform+indicator", "indicator+atom"])
+def test_classify_reads_zero_pieces(F, want):
+    # a piece is outside the support exactly when its coefficients vanish
+    arcs = classify_arcs(F)
+    assert [a.kind for a in arcs] == [k for _, _, k in want]
+    for arc, (lo, hi, _) in zip(arcs, want):
+        assert arc.lo == pytest.approx(lo, abs=1e-12)
+        assert arc.hi == pytest.approx(hi, abs=1e-12)
+
+
 def test_classify_refuses_unstructured_vanishing():
     def bump(s):
         out = np.cos(s) - 0.5

@@ -3,12 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gafzeros import presets
-from gafzeros.errors import CaseMismatch, DomainError, MethodUnavailable
-from gafzeros.intensity import (rho1, rho1_ek_numeric, rho1_qform, rho1_spectral,
-                                sr_positive_form, sr_value)
+from gafzeros.errors import CaseMismatch, DomainError, MethodUnavailable, PrecisionError
+from gafzeros.intensity import (rho1, rho1_closed_form, rho1_ek_numeric, rho1_qform,
+                                rho1_spectral, sr_positive_form, sr_value)
+from gafzeros.periodic import PeriodicFunction
 from gafzeros.poisson import KernelPoint, P_op
+from gafzeros.spectral import SpectralMeasure, shift
 
 HALF = math.pi / 2
 
@@ -117,6 +121,12 @@ def test_half_interval_flat_left_density():
     assert rho1_qform(F, z) == pytest.approx(got, rel=1e-9)
 
 
+def _trig_on_arc():
+    """ma1:a=0.3 restricted to (-1, 2): a degree-1 trig piece on an arc."""
+    dens = PeriodicFunction.from_trig([1.0, 0.6]) * PeriodicFunction.step([-1.0, 2.0], [0.0, 1.0])
+    return SpectralMeasure(density=dens * (1.0 / dens.integrals([-math.pi, math.pi])[0].real))
+
+
 def test_rho1_dispatcher_routes():
     F = presets.ma1(0.2)
     z = 0.7
@@ -126,6 +136,116 @@ def test_rho1_dispatcher_routes():
     assert rho1(F, z, "ek_numeric") == pytest.approx(rho1_ek_numeric(F, z), rel=1e-12)
     with pytest.raises(DomainError):
         rho1(F, z, "nope")
+    # auto takes the closed form wherever it applies, else today's rule
+    callable_ma1 = SpectralMeasure(density=PeriodicFunction.from_callable(
+        lambda s: (1.0 + 0.6 * np.cos(s)) / (2 * math.pi)))
+    for G, route in ((presets.ma1(0.3), rho1_closed_form),
+                     (presets.indicator(-HALF, HALF), rho1_closed_form),
+                     (presets.parse_preset("mix:0.5*uniform+0.5*atoms:[(0,1)]"), rho1_closed_form),
+                     (presets.parse_preset("mix:0.5*ma1:a=0.3+0.5*indicator:lo=-1,hi=2"),
+                      rho1_closed_form),
+                     (presets.atoms([(0.0, 0.5), (2.0, 0.5)]), rho1_closed_form),
+                     (_trig_on_arc(), rho1_qform),
+                     (callable_ma1, rho1_qform)):
+        for w in (0.5, 0.9 * cmath.exp(2.2j), 0.999 * cmath.exp(-0.4j)):
+            assert rho1(G, w) == route(G, w), G.label
+        if route is rho1_qform:
+            with pytest.raises(MethodUnavailable):
+                rho1_closed_form(G, 0.5)
+
+
+def test_closed_form_matches_qform_on_presets_up_the_ladder():
+    rungs = [1.0 - 10.0 ** (-k / 2.0) for k in range(2, 10)]
+    for F in (presets.uniform(), presets.ma1(0.3), presets.ma1(0.5),
+              presets.indicator(-HALF, HALF), presets.random_trig_density(3),
+              presets.parse_preset("mix:0.5*uniform+0.5*indicator:lo=-1,hi=1")):
+        for phi in (0.0, 0.4, HALF + 0.02, HALF - 0.02, -2.5, math.pi):
+            for r in rungs:
+                z = r * cmath.exp(1j * phi)
+                a, b = rho1_closed_form(F, z), rho1_qform(F, z)
+                assert abs(a - b) <= 1e-7 * abs(b) + 1e-13, (F.label, phi, r)
+
+
+def test_closed_form_off_support_step_regression():
+    # the textbook arc antiderivatives cancel 1/(1-r)^3 terms off the
+    # support and were 2.7% off here; reference from 40-digit quadrature
+    z = (1.0 - 10**-4.5) * cmath.exp(2.5j)
+    got = rho1_closed_form(presets.indicator(-HALF, HALF), z)
+    assert got == pytest.approx(0.04133096983922590869, rel=1e-12)
+
+
+def test_closed_form_density_vanishing_at_center_regression():
+    # ma1:a=0.5 vanishes to second order at phi = pi; summing the O(1/y) part
+    # of the P^2 coefficients directly left 1.9e-8 here (quadrature: 6e-9);
+    # reference from the Fourier sums and from quadrature, both at 50 digits
+    z = (1.0 - 10**-4.5) * cmath.exp(1j * math.pi)
+    got = rho1_closed_form(presets.ma1(0.5), z)
+    assert got == pytest.approx(2516.520289582088749907, rel=1e-10)
+
+
+def test_closed_form_radius_ceiling():
+    with pytest.raises(PrecisionError):
+        rho1_closed_form(presets.uniform(), 1.0 - 1e-8)
+
+
+@st.composite
+def trig_step_atom_measures(draw):
+    """A random mixture of a trig density (degree <= 6), a step with 2-4
+    breakpoints and nonnegative levels, and up to two atoms."""
+    parts = []
+    if draw(st.booleans()):
+        trig = presets.random_trig_density(draw(st.integers(0, 10**6)),
+                                           degree=draw(st.integers(1, 6)))
+        parts.append(trig.density)
+    nb = draw(st.integers(2, 4))
+    breaks = draw(st.lists(st.floats(-math.pi, math.pi, allow_nan=False), min_size=nb,
+                           max_size=nb, unique=True).filter(
+        lambda b: min(np.diff(np.sort(b))) > 1e-3))
+    levels = draw(st.lists(st.floats(0.0, 2.0), min_size=nb, max_size=nb).filter(
+        lambda v: max(v) > 0.1))
+    step = PeriodicFunction.step(breaks, levels)
+    parts.append(step * (1.0 / step.integrals([-math.pi, math.pi])[0].real))
+    n_atoms = draw(st.integers(0, 2))
+    locs = draw(st.lists(st.floats(-math.pi, math.pi), min_size=n_atoms, max_size=n_atoms))
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=len(parts) + n_atoms,
+                            max_size=len(parts) + n_atoms))
+    total = sum(weights)
+    dens = weights[0] / total * parts[0]
+    if len(parts) == 2:
+        dens = dens + weights[1] / total * parts[1]
+    atoms = tuple((t, w / total) for t, w in zip(locs, weights[len(parts):]))
+    return SpectralMeasure(density=dens, atoms=atoms)
+
+
+disk_points = st.tuples(st.floats(0.0, 0.9999), st.floats(-math.pi, math.pi))
+
+
+@settings(max_examples=60, deadline=None)
+@given(trig_step_atom_measures(), disk_points)
+def test_closed_form_matches_spectral_double(F, point):
+    z = point[0] * cmath.exp(1j * point[1])
+    a, b = rho1_closed_form(F, z), rho1_spectral(F, z)
+    assert abs(a - b) <= 1e-7 * abs(a) + 1e-13
+
+
+@settings(max_examples=60, deadline=None)
+@given(trig_step_atom_measures(), disk_points, st.floats(-math.pi, math.pi))
+def test_closed_form_bound_and_rotation(F, point, phi0):
+    r, phi = point
+    z = r * cmath.exp(1j * phi)
+    value = rho1_closed_form(F, z)
+    y = 1.0 - r * r
+    assert -1e-9 <= value * math.pi * y * y <= 1.0 + 1e-9
+    rotated = rho1_closed_form(shift(F, phi0), z)
+    assert rotated == pytest.approx(rho1_closed_form(F, z * cmath.exp(1j * phi0)),
+                                    rel=1e-9, abs=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(trig_step_atom_measures())
+def test_closed_form_at_the_origin(F):
+    assert rho1_closed_form(F, 0.0) == pytest.approx(rho1_spectral(F, 0.0),
+                                                     rel=1e-9, abs=1e-13)
 
 
 @pytest.mark.parametrize("F", [presets.ma1(0.3), presets.indicator(-HALF, HALF),

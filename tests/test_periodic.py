@@ -176,6 +176,21 @@ def test_mixed_kind_arithmetic():
     assert total.breakpoints.size == 2
 
 
+def test_wave_and_levels_reads_constant_terms():
+    trig = PeriodicFunction.from_trig([0.5, 0.25], [0.0, 0.1])
+    step = PeriodicFunction.step([-1.0, 1.0], [0.0, 2.0])
+    wave, levels = trig.wave_and_levels()
+    assert wave.coefficient(0) == 0 and wave.coefficient(1) == trig.trig.coefficient(1)
+    assert list(levels) == [0.5]
+    wave, levels = step.wave_and_levels()
+    assert wave.degree == 0 and list(levels) == [0.0, 2.0]
+    wave, levels = (trig + step).wave_and_levels()
+    assert np.array_equal(wave.c, trig.wave_and_levels()[0].c)
+    assert list(levels) == [0.5, 2.5]
+    assert (trig * step).wave_and_levels() is None
+    assert PeriodicFunction.from_callable(np.cos).wave_and_levels() is None
+
+
 @st.composite
 def trig_functions(draw):
     degree = draw(st.integers(min_value=0, max_value=5))
