@@ -347,3 +347,29 @@ def test_is_even_reads_pieces():
     assert f.is_even()
     assert not f.shifted(0.1).is_even()
     assert f.shifted(0.1).hat().is_even()
+
+
+@pytest.mark.parametrize("module, names, n", [
+    ("gafzeros.periodic", ("_GL_X", "_GL_W"), 32),
+    ("gafzeros.experiments", ("_GL8_X", "_GL8_W"), 8),
+])
+def test_gauss_legendre_tables_match_leggauss(module, names, n):
+    import importlib
+    mod = importlib.import_module(module)
+    x, w = np.polynomial.legendre.leggauss(n)
+    assert np.array_equal(getattr(mod, names[0]), x)
+    assert np.array_equal(getattr(mod, names[1]), w)
+
+
+def test_package_import_skips_polynomial_and_pool():
+    import os
+    import subprocess
+    import sys
+
+    import gafzeros
+    src = os.path.dirname(os.path.dirname(gafzeros.__file__))
+    code = ("import sys, gafzeros; print(sorted(m for m in ('numpy.polynomial', "
+            "'concurrent.futures.process') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "[]"
