@@ -195,16 +195,20 @@ def arc_radius_bound(arc: Arc, r: float) -> float:
 
 _ZERO_TOL = 1e-12
 
+#: probe points for a wrapped callable, whose one piece is only an FFT fit
+_PROBE_POINTS = 4096
 
-def classify_arcs(F: SpectralMeasure, resolution: int = 4096) -> list[Arc]:
+
+def classify_arcs(F: SpectralMeasure) -> list[Arc]:
     """Partition the circle into maximal arcs outside/inside the support.
 
-    Works from the breakpoint representation of the density (plus atoms),
-    where a piece lies outside the support when its coefficients all vanish;
-    densities without breakpoints are probed at ``resolution`` points: an
-    everywhere-positive probe means full support, isolated zeros do not open
-    arcs, but an apparent run of zeros without breakpoint backing raises
-    SupportUnknown rather than guessing endpoints numerically.
+    Works from the piece representation of the density (plus atoms), where
+    a piece lies outside the support when its coefficients all vanish; a
+    nonzero trig polynomial vanishes at isolated points only, so a one-piece
+    trig density has full support.  A wrapped callable is probed at
+    ``_PROBE_POINTS`` points: an everywhere-positive probe means full
+    support, isolated zeros do not open arcs, but an apparent run of zeros
+    raises SupportUnknown rather than guessing endpoints numerically.
     """
     atoms = sorted(float(wrap_angle(t)) for t, _ in F.atoms)
     if F.density is None:
@@ -220,10 +224,12 @@ def classify_arcs(F: SpectralMeasure, resolution: int = 4096) -> list[Arc]:
         return arcs
 
     dens = F.density
-    if dens.breakpoints.size:
+    if dens.breakpoints.size or dens.trig is not None:
         support_arcs = _support_from_pieces(dens)
+        if not support_arcs and not atoms:
+            raise DomainError("measure carries no mass")
     else:
-        probe = wrap_angle(-PI + TWOPI * (np.arange(resolution) + 0.5) / resolution)
+        probe = wrap_angle(-PI + TWOPI * (np.arange(_PROBE_POINTS) + 0.5) / _PROBE_POINTS)
         vals = dens(probe)
         if np.min(vals) < -1e-12:
             raise DomainError("density is negative")
@@ -255,8 +261,9 @@ def _zero_runs(mask):
 
 
 def _support_from_pieces(dens):
-    """Arcs of the pieces not identically zero (piece i + 1 is (b[i], b[i + 1]])."""
-    breaks = list(dens.breakpoints)
+    """Arcs of the pieces not identically zero (piece i + 1 is (b[i], b[i + 1]]);
+    a one-piece function is one arc from -pi."""
+    breaks = list(dens.breakpoints) or [-PI]
     edges = breaks + [breaks[0] + TWOPI]
     pieces = []
     for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
@@ -349,15 +356,14 @@ class ContinuationReport:
         return json.dumps(payload, indent=1)
 
 
-def continuation_report(F: SpectralMeasure, r: float, k_max: int = 512,
-                        resolution: int = 4096) -> ContinuationReport:
+def continuation_report(F: SpectralMeasure, r: float, k_max: int = 512) -> ContinuationReport:
     """Variance tail, radius estimate, and arc classification in one record;
     the estimate reads the orders :func:`rho_local` uses off that tail."""
     tail = _tail_orders(k_max)
     lv = log_variance_alpha(F, r, np.arange(0, k_max + 1))
     rho = _rho_from_tail(tail, lv[tail.astype(int)])
     try:
-        arcs = classify_arcs(F, resolution)
+        arcs = classify_arcs(F)
     except SupportUnknown:
         arcs = []
     return ContinuationReport(r=float(r), k_max=int(k_max), log_var_sequence=lv,

@@ -545,23 +545,23 @@ def t_operator(h: PeriodicFunction, power: int = 1) -> PeriodicFunction:
     """Apply (h(s) - h(0)) / (1 - cos s), ``power`` times.
 
     At s = 0 the quotient continues to h''(0).  Requires an even function
-    that is smooth at 0.  The piece holding 0 is divided exactly through its
+    that is smooth at 0, checked once: T keeps both properties piece by
+    piece.  The piece holding 0 is divided exactly through its
     Fourier coefficients; every other piece (p, m) becomes
     (p - h(0) (1 - cos s)^m, m + 1), an exact quotient kept as data.
     """
     if power < 1:
         raise DomainError("power must be >= 1")
-    out = h
-    for _ in range(power):
-        out = _t_once(out)
-    return out
-
-
-def _t_once(h: PeriodicFunction) -> PeriodicFunction:
     if not h.smooth_at_zero:
         raise DomainError("difference quotient needs smoothness at s = 0")
     if not h.is_even():
         raise DomainError("difference quotient is defined for even functions")
+    for _ in range(power):
+        h = _t_once(h)
+    return h
+
+
+def _t_once(h: PeriodicFunction) -> PeriodicFunction:
     zero = int(h._index(0.0))
     p0 = h.pieces[zero][0]
     h0 = float(np.real(p0.c.sum()))  # value at 0, summed exactly

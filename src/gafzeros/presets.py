@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .periodic import PI, TWOPI, PeriodicFunction
+from .periodic import PI, TWOPI, PeriodicFunction, TrigPoly
 from .spectral import SpectralMeasure
 
 __all__ = [
@@ -89,14 +89,7 @@ def random_trig_density(seed: int, degree: int = 4, strictly_positive=True) -> S
     if strictly_positive:
         spec[degree] += 0.05 * np.abs(spec).sum()
     spec = spec / (TWOPI * spec[degree].real)
-    d = degree
-    a = np.zeros(d + 1)
-    b = np.zeros(d + 1)
-    a[0] = spec[d].real
-    for k in range(1, d + 1):
-        a[k] = 2.0 * spec[d + k].real
-        b[k] = -2.0 * spec[d + k].imag
-    dens = PeriodicFunction.from_trig(a, b)
+    dens = PeriodicFunction.from_trig(*TrigPoly(spec).cos_sin_coeffs())
     return SpectralMeasure(density=dens, label=f"randtrig:seed={seed},degree={degree}")
 
 

@@ -3,14 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gafzeros import presets
-from gafzeros.asymptotics import (ExpansionReport, expand_K, expand_P, expand_Q,
-                                  expand_S, expand_S_via_products, fitted_order,
-                                  rho1_boundary, verify_recursions)
+from gafzeros.asymptotics import (ExpansionReport, _slice_functionals, expand_K,
+                                  expand_P, expand_Q, expand_S, expand_S_via_products,
+                                  fitted_order, rho1_boundary, verify_recursions)
 from gafzeros.errors import DegenerateDenominator, DomainError
 from gafzeros.intensity import rho1_qform, sr_value
-from gafzeros.periodic import PeriodicFunction, mean, t_operator
+from gafzeros.periodic import COS, PeriodicFunction, mean, t_operator
 from gafzeros.poisson import P_op, Q_op, aux_ops
 from gafzeros.spectral import SpectralMeasure
 
@@ -159,6 +161,33 @@ def test_expand_S_matches_squared_series_products(seed):
     for k in range(-2, 4):
         assert direct.coefficient(k) == pytest.approx(
             products.coefficient(k), abs=1e-10, rel=1e-10), k
+
+
+@st.composite
+def smooth_slices(draw):
+    """A random trig polynomial plus or times a random step whose jumps stay
+    0.2 from 0: a slice smooth at 0 that is neither even nor odd."""
+    coeff = st.floats(-1, 1, allow_nan=False)
+    degree = draw(st.integers(0, 4))
+    trig = PeriodicFunction.from_trig(
+        draw(st.lists(coeff, min_size=degree + 1, max_size=degree + 1)),
+        [0.0] + draw(st.lists(coeff, min_size=degree, max_size=degree)))
+    slots = draw(st.lists(st.integers(-31, 31).filter(lambda j: abs(j) >= 2),
+                          min_size=1, max_size=3, unique=True))
+    step = PeriodicFunction.step([0.1 * j for j in slots],
+                                 draw(st.lists(coeff, min_size=len(slots),
+                                               max_size=len(slots))))
+    return trig + step if draw(st.booleans()) else trig * step
+
+
+@settings(max_examples=60, deadline=None)
+@given(smooth_slices())
+def test_slice_cos_functional_matches_its_own_t_chain(g):
+    # I(T^2(ghat cos)) = I(T^2 ghat) - I(T ghat); the oracle runs the T chain
+    # on the degree-raised product ghat cos
+    want = mean(t_operator(g.hat() * COS, 2))
+    got = _slice_functionals(g)["I_T2ghcos"]
+    assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
 
 # ------------------------------------------------------------- boundary regimes

@@ -119,6 +119,25 @@ def test_asymptote_case_iii(capsys):
     assert float(kv["coeff[y^0]"]) == pytest.approx(1 / (6 * math.pi), rel=1e-6)
 
 
+_SLICE_KEYS = {"input.g0", "input.g2", "input.gc1", "input.I_Tgh", "input.I_T2gh",
+               "input.I_T2ghcos", "input.I_T2gcsin"}
+
+
+@pytest.mark.parametrize("preset, phi, case, extra", [
+    ("ma1:a=0.3", math.pi / 3, "i",
+     {"coeff[y^-2]", "coeff[y^0]", "input.f1", "input.deficit"}),
+    ("ma1:a=0.5", math.pi, "ii", {"coeff[y^-1]"}),
+    ("indicator:lo=-1.5707963267948966,hi=1.5707963267948966", 3 * math.pi / 4, "iii",
+     {"coeff[y^0]"}),
+])
+def test_asymptote_key_set(capsys, preset, phi, case, extra):
+    code, out, _ = run_cli(capsys, "asymptote", "--preset", preset, "--phi", repr(phi))
+    assert code == 0
+    kv = parse_kv(out)
+    assert kv["case"] == case
+    assert set(kv) == {"preset", "phi", "case"} | _SLICE_KEYS | extra
+
+
 def test_experiment_csv_totals_and_determinism(capsys):
     argv = ["experiment", "--preset", "uniform", "--n", "400",
             "--replicas", "8", "--rmax", "0.9", "--rbins", "3",

@@ -10,7 +10,7 @@ from gafzeros.continuation import (Arc, _log_weights, arc_radius_bound,
                                    classify_arcs, continuation_report,
                                    log_variance_alpha, rho_local, variance_alpha)
 from gafzeros.errors import DomainError, SupportUnknown, TailWarning
-from gafzeros.periodic import PeriodicFunction
+from gafzeros.periodic import PeriodicFunction, mean
 from gafzeros.spectral import SpectralMeasure, shift
 
 HALF = math.pi / 2
@@ -198,6 +198,14 @@ def _three_step():
     return SpectralMeasure(density=dens * (1.0 / (0.3 * (2 * math.pi - 4.5) + 0.7 * 2.0)))
 
 
+def _one_minus_cos_power(n):
+    x = PeriodicFunction.from_trig([1.0, -1.0])
+    dens = x
+    for _ in range(n - 1):
+        dens = dens * x
+    return SpectralMeasure(density=dens * (1.0 / (2 * math.pi * mean(dens))))
+
+
 @pytest.mark.parametrize("F, want", [
     (presets.indicator(-HALF, HALF),
      [(-HALF, HALF, "singular"), (HALF, 3 * HALF, "regular")]),
@@ -208,7 +216,11 @@ def _three_step():
     (presets.parse_preset("mix:0.5*indicator:lo=-1,hi=1+0.5*atoms:[(2.5,1)]"),
      [(-1.0, 1.0, "singular"), (1.0, 2.5, "regular"), (2.5, 2.5, "singular"),
       (2.5, 2 * math.pi - 1.0, "regular")]),
-], ids=["indicator", "three-step", "uniform+indicator", "indicator+atom"])
+    # one trig piece: zero only at s = 0, yet below 1e-12 on a run of probe points
+    (_one_minus_cos_power(2), [(-math.pi, math.pi, "singular")]),
+    (_one_minus_cos_power(3), [(-math.pi, math.pi, "singular")]),
+], ids=["indicator", "three-step", "uniform+indicator", "indicator+atom",
+        "one-minus-cos-squared", "one-minus-cos-cubed"])
 def test_classify_reads_zero_pieces(F, want):
     # a piece is outside the support exactly when its coefficients vanish
     arcs = classify_arcs(F)
@@ -226,6 +238,13 @@ def test_classify_refuses_unstructured_vanishing():
     F = SpectralMeasure(density=dens, label="flat-bump")
     with pytest.raises(SupportUnknown):
         classify_arcs(F)
+
+
+@pytest.mark.parametrize("dens", [PeriodicFunction.constant(0.0),
+                                  PeriodicFunction.step([-1.0, 1.0], [0.0, 0.0])])
+def test_classify_refuses_massless_density(dens):
+    with pytest.raises(DomainError, match="no mass"):
+        classify_arcs(SpectralMeasure(density=dens))
 
 
 def test_regular_arc_bound_holds():

@@ -113,11 +113,12 @@ def test_t_operator_constant_and_x():
 
 
 def test_t_operator_rejects_odd_and_nonsmooth():
-    with pytest.raises(DomainError):
-        t_operator(SIN)
     f = PeriodicFunction.step([0.0, 1.0], [0.0, 1.0])
-    with pytest.raises(DomainError):
-        t_operator(f)
+    for power in (1, 2, 3):
+        with pytest.raises(DomainError):
+            t_operator(SIN, power)
+        with pytest.raises(DomainError):
+            t_operator(f, power)
 
 
 def test_t_operator_callable_patch_matches_quotient():
