@@ -58,7 +58,6 @@ def scalar_functionals(h: PeriodicFunction, depth: int = 3) -> dict[str, float]:
         "h0": h.derivative_at_zero(0),
         "d2": h.derivative_at_zero(2),
         "d4": h.derivative_at_zero(4),
-        "I_h": mean(h),
     }
     t = h
     for m in range(1, depth + 1):
@@ -100,7 +99,7 @@ def expand_Q(h: PeriodicFunction) -> ExpansionReport:
 
 def expand_K(h: PeriodicFunction) -> ExpansionReport:
     """First-order expansion of the auxiliary kernel average K_r."""
-    f = scalar_functionals(h, depth=1)
+    f = {**scalar_functionals(h, depth=1), "I_h": mean(h)}
     h0, ih, i1 = f["h0"], f["I_h"], f["I_T1h"]
     coeffs = {
         0: 2.0 * ih - 0.75 * h0,

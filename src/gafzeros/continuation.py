@@ -51,7 +51,7 @@ def _log_weights(F: SpectralMeasure, r: float, k_max: int):
     for t, m in F.atoms:
         parts_logw.append(np.array([math.log(m)]))
         parts_logd.append(np.array([math.log((1.0 - r) ** 2 + 2.0 * r * one_minus_cos(t))]))
-    if not parts_logw:
+    if not sum(w.size for w in parts_logw):
         raise DomainError("measure carries no mass")
     return np.concatenate(parts_logw), np.concatenate(parts_logd)
 
@@ -193,134 +193,79 @@ def arc_radius_bound(arc: Arc, r: float) -> float:
     return math.sqrt(1.0 - 2.0 * r * math.cos(delta) + r * r)
 
 
+#: coefficients, probe values and arc widths at or below this count as zero
 _ZERO_TOL = 1e-12
 
 #: probe points for a wrapped callable, whose one piece is only an FFT fit
 _PROBE_POINTS = 4096
 
 
-def classify_arcs(F: SpectralMeasure) -> list[Arc]:
-    """Partition the circle into maximal arcs outside/inside the support.
-
-    Works from the piece representation of the density (plus atoms), where
-    a piece lies outside the support when its coefficients all vanish; a
-    nonzero trig polynomial vanishes at isolated points only, so a one-piece
-    trig density has full support.  A wrapped callable is probed at
-    ``_PROBE_POINTS`` points: an everywhere-positive probe means full
-    support, isolated zeros do not open arcs, but an apparent run of zeros
-    raises SupportUnknown rather than guessing endpoints numerically.
-    """
-    atoms = sorted(float(wrap_angle(t)) for t, _ in F.atoms)
-    if F.density is None:
-        if not atoms:
-            raise DomainError("measure carries no mass")
-        arcs: list[Arc] = []
-        for i, t in enumerate(atoms):
-            arcs.append(Arc(lo=t, hi=t, kind="singular"))
-            nxt = atoms[(i + 1) % len(atoms)]
-            hi = nxt if nxt > t else nxt + TWOPI
-            if hi - t > _ZERO_TOL:
-                arcs.append(Arc(lo=t, hi=hi, kind="regular"))
-        return arcs
-
-    dens = F.density
-    if dens.breakpoints.size or dens.trig is not None:
-        support_arcs = _support_from_pieces(dens)
-        if not support_arcs and not atoms:
-            raise DomainError("measure carries no mass")
-    else:
+def _support(dens) -> list[tuple[float, float]]:
+    """Sorted merged runs (lo, hi) of the pieces whose coefficients are not
+    all zero (piece i + 1 covers (b[i], b[i + 1]]); a run through pi ends
+    past pi.  A nonzero trig polynomial vanishes at isolated points only, so
+    one such piece is full support.  A wrapped callable is probed at
+    ``_PROBE_POINTS`` points: isolated zeros do not open the support, but
+    three probe zeros in a row raise SupportUnknown rather than guessing
+    endpoints numerically."""
+    if not dens.breakpoints.size and dens.trig is None:  # a wrapped callable
         probe = wrap_angle(-PI + TWOPI * (np.arange(_PROBE_POINTS) + 0.5) / _PROBE_POINTS)
         vals = dens(probe)
-        if np.min(vals) < -1e-12:
+        if np.min(vals) < -_ZERO_TOL:
             raise DomainError("density is negative")
         zero = vals <= _ZERO_TOL
-        if not np.any(zero):
-            support_arcs = [(-PI, PI)]
+        if np.any(zero[:-2] & zero[1:-1] & zero[2:]):
+            raise SupportUnknown(
+                "density appears to vanish on an interval but carries no "
+                "breakpoint structure; refusing to guess arc endpoints")
+        return [(-PI, PI)]
+    breaks = list(dens.breakpoints) or [-PI]
+    runs: list[tuple[float, float]] = []
+    for lo, hi, (p, _) in zip(breaks, breaks[1:] + [breaks[0] + TWOPI],
+                              dens.pieces[1:] + dens.pieces[:1]):
+        if np.max(np.abs(p.c)) <= _ZERO_TOL:
+            continue
+        if runs and runs[-1][1] == lo:
+            runs[-1] = (runs[-1][0], hi)
         else:
-            runs = _zero_runs(zero)
-            if max(hi - lo for lo, hi in runs) >= 3:
-                raise SupportUnknown(
-                    "density appears to vanish on an interval but carries no "
-                    "breakpoint structure; refusing to guess arc endpoints")
-            support_arcs = [(-PI, PI)]  # isolated zeros do not open the support
-    return _merge_with_atoms(support_arcs, atoms)
-
-
-def _zero_runs(mask):
-    runs = []
-    start = None
-    for i, m in enumerate(mask):
-        if m and start is None:
-            start = i
-        elif not m and start is not None:
-            runs.append((start, i))
-            start = None
-    if start is not None:
-        runs.append((start, len(mask)))
+            runs.append((lo, hi))
+    if len(runs) > 1 and runs[-1][1] == runs[0][0] + TWOPI:
+        runs = runs[1:-1] + [(runs[-1][0], runs[0][1] + TWOPI)]
     return runs
 
 
-def _support_from_pieces(dens):
-    """Arcs of the pieces not identically zero (piece i + 1 is (b[i], b[i + 1]]);
-    a one-piece function is one arc from -pi."""
-    breaks = list(dens.breakpoints) or [-PI]
-    edges = breaks + [breaks[0] + TWOPI]
-    pieces = []
-    for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-        p = dens.pieces[(i + 1) % len(breaks)][0]
-        pieces.append((lo, hi, bool(np.max(np.abs(p.c)) > _ZERO_TOL)))
-    merged = []
-    for lo, hi, occ in pieces:
-        if merged and merged[-1][2] == occ and abs(merged[-1][1] - lo) < 1e-12:
-            merged[-1] = (merged[-1][0], hi, occ)
-        else:
-            merged.append((lo, hi, occ))
-    # wrap-around merge
-    if len(merged) > 1 and merged[0][2] == merged[-1][2] and \
-            abs((merged[0][0] + TWOPI) - merged[-1][1]) < 1e-12:
-        lo, hi, occ = merged.pop()
-        first = merged.pop(0)
-        merged.append((lo, first[1] + TWOPI, occ))
-    return [(lo, hi) for lo, hi, occ in merged if occ]
+def classify_arcs(F: SpectralMeasure) -> list[Arc]:
+    """Partition the circle into maximal arcs outside/inside the support.
 
-
-def _merge_with_atoms(support_arcs, atoms):
-    """Union the density support with atom points; return labeled arcs."""
-    full = sum(hi - lo for lo, hi in support_arcs) >= TWOPI - 1e-12
-    if full:
+    One sweep over the support runs of the density (see :func:`_support`):
+    each run is a singular arc, and the gap up to the next run is regular,
+    split at the atoms outside the support, each a singular point.  Without
+    support the first atom seeds the sweep, so a purely atomic measure and
+    a zero density plus atoms give the same arcs.  A repeated atom location
+    counts as one point.  Arcs are sorted by lo; a regular arc may wrap
+    through pi, so its hi can exceed pi.
+    """
+    runs = _support(F.density) if F.density is not None else []
+    if sum(hi - lo for lo, hi in runs) >= TWOPI - _ZERO_TOL:
         return [Arc(lo=-PI, hi=PI, kind="singular")]
-    # normalize event arcs into non-overlapping sorted form on the circle
-    segs = sorted((wrap_angle(lo), wrap_angle(lo) + (hi - lo)) for lo, hi in support_arcs)
+    points = sorted({t for t, _ in F.atoms
+                     if not any(lo - _ZERO_TOL <= u <= hi + _ZERO_TOL
+                                for lo, hi in runs for u in (t, t + TWOPI))})
+    if not runs:
+        if not points:
+            raise DomainError("measure carries no mass")
+        runs = [(points[0], points[0])]
     arcs: list[Arc] = []
-    boundary_atoms = set()
-    for t in atoms:
-        inside = any(lo - 1e-12 <= t <= hi + 1e-12 or
-                     lo - 1e-12 <= t + TWOPI <= hi + 1e-12 for lo, hi in segs)
-        if not inside:
-            boundary_atoms.add(t)
-    points = sorted(boundary_atoms)
-    # build the complement of the support, then split it at isolated atoms
-    gaps = []
-    if segs:
-        for (lo1, hi1), (lo2, _) in zip(segs, segs[1:] + [(segs[0][0] + TWOPI,
-                                                           segs[0][1])]):
-            if lo2 - hi1 > 1e-12:
-                gaps.append((hi1, lo2))
-    else:
-        gaps = [(-PI, PI)]
-    for lo, hi in segs:
-        arcs.append(Arc(lo=lo, hi=hi, kind="singular"))
-    for lo, hi in gaps:
-        inner = [t for t in points if lo < t < hi] + \
-            [t + TWOPI for t in points if lo < t + TWOPI < hi]
-        cur = lo
-        for t in sorted(inner):
-            if t - cur > 1e-12:
+    ends = [lo for lo, _ in runs[1:]] + [runs[0][0] + TWOPI]
+    for (lo, cur), end in zip(runs, ends):
+        arcs.append(Arc(lo=lo, hi=cur, kind="singular"))
+        for t in sorted(u for t in points for u in (t, t + TWOPI) if cur < u < end):
+            if t - cur > _ZERO_TOL:
                 arcs.append(Arc(lo=cur, hi=t, kind="regular"))
             arcs.append(Arc(lo=t, hi=t, kind="singular"))
             cur = t
-        if hi - cur > 1e-12:
-            arcs.append(Arc(lo=cur, hi=hi, kind="regular"))
+        if end - cur > _ZERO_TOL:
+            arcs.append(Arc(lo=cur, hi=end, kind="regular"))
     arcs.sort(key=lambda a: a.lo)
     return arcs
 

@@ -100,8 +100,7 @@ def _replica_counts(args):
     return _histogram(find_roots(values).roots, r_edges, phi_edges)
 
 
-def analytic_cell_counts(F: SpectralMeasure, r_edges, phi_edges,
-                         method: str = "auto") -> np.ndarray:
+def analytic_cell_counts(F: SpectralMeasure, r_edges, phi_edges) -> np.ndarray:
     """Integral of the zero density over each (r, phi) cell, in counts.
 
     Product Gauss-Legendre (8 x 8) per cell on rho1(r e^{i phi}) r dr dphi.
@@ -120,7 +119,7 @@ def analytic_cell_counts(F: SpectralMeasure, r_edges, phi_edges,
             for rr, wr in zip(r_nodes, _GL8_W):
                 if rr <= 0.0:
                     continue
-                vals = [rho1(F, rr * np.exp(1j * pp), method) for pp in p_nodes]
+                vals = [rho1(F, rr * np.exp(1j * pp)) for pp in p_nodes]
                 total += wr * rh * rr * float(np.dot(_GL8_W, vals)) * ph
             out[i, j] = total
     return out

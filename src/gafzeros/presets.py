@@ -46,7 +46,11 @@ def indicator(lo: float, hi: float) -> SpectralMeasure:
     lo, hi = float(lo), float(hi)
     if not (-PI <= lo < hi <= PI):
         raise DomainError("need -pi <= lo < hi <= pi")
-    dens = PeriodicFunction.step([lo, hi], [0.0, 1.0 / (hi - lo)])
+    if hi - lo >= TWOPI - 1e-12:
+        # both ends wrap to the same breakpoint: the arc is the whole circle
+        dens = PeriodicFunction.constant(1.0 / TWOPI)
+    else:
+        dens = PeriodicFunction.step([lo, hi], [0.0, 1.0 / (hi - lo)])
     return SpectralMeasure(density=dens, label=f"indicator:lo={lo:g},hi={hi:g}")
 
 

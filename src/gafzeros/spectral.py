@@ -57,9 +57,6 @@ class SpectralMeasure:
             raise NormalizationError(
                 f"total mass {mass!r} differs from 1 by more than {_MASS_TOL}")
 
-    def has_density(self) -> bool:
-        return self.density is not None
-
     def relative_density(self, phi: float = 0.0) -> PeriodicFunction:
         """Density against the uniform measure, re-centered at angle ``phi``.
 

@@ -86,6 +86,7 @@ def test_expand_K_constant():
 def test_expand_K_one_minus_cos():
     rep = expand_K(X)
     assert rep.coefficients[0] == pytest.approx(2.0, abs=1e-12)
+    assert rep.inputs["I_h"] == 1.0
 
 
 def test_expand_rejects_odd_or_rough():
