@@ -24,7 +24,7 @@ from .intensity import (rho1, rho1_ek_numeric, rho1_qform, rho1_spectral,
                         sr_positive_form, sr_value)
 from .periodic import PeriodicFunction, TrigPoly
 from .poisson import (AuxValues, K_diag, K_offdiag, KernelPoint, P_op, Q_op,
-                      aux_ops, harmonic_extension, poisson_kernel)
+                      aux_ops, harmonic_extension, herglotz, poisson_kernel)
 from .presets import (atoms, indicator, ma1, mix, parse_preset,
                       random_trig_density, uniform)
 from .sampling import (CoefficientBlock, empirical_covariance, radius_check,

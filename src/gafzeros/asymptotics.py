@@ -12,13 +12,14 @@ T(ghat cos) = T ghat - ghat exactly, so I(T^2(ghat cos)) = I(T^2 ghat) - I(T gha
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import DegenerateDenominator, DomainError
-from .periodic import PI, PeriodicFunction, mean, t_operator
+from .periodic import PI, PeriodicFunction, mean, t_operator, wrap_angle
 from .poisson import P_op, aux_ops
 from .spectral import SpectralMeasure
 
@@ -194,6 +195,12 @@ def rho1_boundary(F: SpectralMeasure, phi: float):
     * case ii (simple zero):      [f''(0) / (2 I(T fhat))] / (pi y).
     * case iii (double zero):     a flat profile whose height is a ratio of
       averaged double quotients.
+
+    Atoms enter the averaged quotients, and so the deficit, in closed form:
+    an atom m at angle u from phi, x = 1 - cos u, adds m/x to I(T ghat),
+    m/x^2 to I(T^2 ghat), m cos u/x^2 to I(T^2(ghat cos)) and m sin u/x^2 to
+    I(T^2(gcheck sin)).  An atom within 1e-9 of phi raises DomainError, as a
+    jump does.
     """
     if F.density is None:
         raise DomainError("boundary expansion requires a density")
@@ -201,6 +208,15 @@ def rho1_boundary(F: SpectralMeasure, phi: float):
     if not g.smooth_at_zero:
         raise DomainError("density slice has a breakpoint at the boundary direction")
     f = _slice_functionals(g)
+    for t, m in F.atoms:
+        u = float(wrap_angle(t - phi))
+        if abs(u) < 1e-9:
+            raise DomainError("an atom sits at the boundary direction")
+        x = 2.0 * math.sin(0.5 * u) ** 2
+        f["I_Tgh"] += m / x
+        f["I_T2gh"] += m / x**2
+        f["I_T2ghcos"] += m * math.cos(u) / x**2
+        f["I_T2gcsin"] += m * math.sin(u) / x**2
     f0, d2 = f["g0"], f["g2"]
     i1 = f["I_Tgh"]
     if abs(f0) > _F0_TOL:

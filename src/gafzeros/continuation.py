@@ -206,15 +206,15 @@ def _support(dens) -> list[tuple[float, float]]:
     past pi.  A nonzero trig polynomial vanishes at isolated points only, so
     one such piece is full support.  A wrapped callable is probed at
     ``_PROBE_POINTS`` points: isolated zeros do not open the support, but
-    three probe zeros in a row raise SupportUnknown rather than guessing
-    endpoints numerically."""
+    three probe zeros in a row, cyclically, raise SupportUnknown rather than
+    guessing endpoints numerically."""
     if not dens.breakpoints.size and dens.trig is None:  # a wrapped callable
         probe = wrap_angle(-PI + TWOPI * (np.arange(_PROBE_POINTS) + 0.5) / _PROBE_POINTS)
         vals = dens(probe)
         if np.min(vals) < -_ZERO_TOL:
             raise DomainError("density is negative")
         zero = vals <= _ZERO_TOL
-        if np.any(zero[:-2] & zero[1:-1] & zero[2:]):
+        if np.any(zero & np.roll(zero, 1) & np.roll(zero, 2)):
             raise SupportUnknown(
                 "density appears to vanish on an interval but carries no "
                 "breakpoint structure; refusing to guess arc endpoints")

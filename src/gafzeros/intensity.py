@@ -9,8 +9,8 @@
   atoms included (atom terms are summed in closed form).
 * ``rho1_qform``: the same ratio written through the kernel averages of the
   symmetrized density slice; absolutely continuous measures only.
-* ``rho1_ek_numeric``: a five-point discrete Laplacian of log K(z, z),
-  kept deliberately independent of the others as a cross-check oracle.
+* ``rho1_ek_numeric``: the Laplacian of log K(z, z) in closed form through
+  the Herglotz transform, the first-order kernel only: an independent oracle.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ import math
 import numpy as np
 
 from .errors import (CaseMismatch, DegenerateDenominator, DomainError,
-                     MethodUnavailable)
+                     MethodUnavailable, PrecisionError)
 from .periodic import PI, TWOPI, PeriodicFunction, TrigPoly, one_minus_cos, panel_nodes, wrap_angle
-from .poisson import K_diag, KernelPoint, _check_radius, _kernel_nodes, poisson_kernel
+from .poisson import KernelPoint, _check_radius, _kernel_nodes, herglotz, poisson_kernel
 from .spectral import SpectralMeasure
 
 __all__ = [
@@ -32,6 +32,8 @@ __all__ = [
 ]
 
 _DENOM_FLOOR = 1e-150
+#: relative accuracy of |Phi'| / Re Phi taken by the Edelman-Kostlan route
+_EK_EPS = 1e-10
 
 
 def rho1(F: SpectralMeasure, z: complex, method: str = "auto") -> float:
@@ -244,26 +246,21 @@ def rho1_qform(F: SpectralMeasure, z: complex) -> float:
     return _ratio(_qform_parts(F.relative_density(pt.phi), pt.r), z, pt.y)
 
 
-def rho1_ek_numeric(F: SpectralMeasure, z: complex, step: float | None = None) -> float:
-    """Zero density as (1/4pi) times a discrete Laplacian of log K(z, z).
-
-    Five-point stencil with default step 1e-3 (1 - |z|); this route shares no
-    code with the spectral/quadratic-form evaluators beyond K itself.
-    """
+def rho1_ek_numeric(F: SpectralMeasure, z: complex) -> float:
+    """Zero density by Edelman-Kostlan, Delta log K / 4 pi = 1/(pi y^2) -
+    |Phi'|^2 / (4 pi (Re Phi)^2): the ratio of moments Re Phi -+ y |Phi'|/2,
+    s = 0, b = Re Phi.  It cancels where rho1 << 1/(pi y^2); its error, about
+    _EK_EPS/(pi y^2), raises PrecisionError past 1e-5 max(rho1, 1/pi)."""
     pt = KernelPoint.from_z(z)
-    h = 1e-3 * (1.0 - pt.r) if step is None else float(step)
-    if h <= 0:
-        raise DomainError("step must be positive")
-    if pt.r + 2.0 * h >= 1.0:
-        raise DomainError(f"stencil of step {h} leaves the unit disk at |z| = {pt.r}")
-    zc = pt.z
-
-    def logk(p):
-        return math.log(K_diag(F, p))
-
-    lap = (logk(zc + h) + logk(zc - h) + logk(zc + 1j * h) + logk(zc - 1j * h)
-           - 4.0 * logk(zc)) / (h * h)
-    return lap / (4.0 * PI)
+    phi_z, dphi_z = herglotz(F, pt.z)
+    y = (1.0 - pt.r) * (1.0 + pt.r)
+    b, c = phi_z.real, 0.5 * y * abs(dphi_z)
+    value = _ratio((b - c, b + c, 0.0, b), z, y)
+    achievable = _EK_EPS / (PI * y * y * max(value, 1.0 / PI))
+    if achievable > 1e-5:
+        raise PrecisionError(f"Edelman-Kostlan difference cancels at z = {z!r}; achievable "
+                             f"relative tolerance {achievable:.1e}", achievable=achievable)
+    return value
 
 
 # ---------------------------------------------------------------------------

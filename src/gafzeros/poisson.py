@@ -8,7 +8,8 @@ breakpoints, each kernel center c and c +- delta 2^j for every delta 2^j < 2 pi,
 delta = max((1-r)/floor, 1e-12) with floor 16 unless a caller grades deeper;
 all wrapped to (-pi, pi] and merged within 1e-13.  Direct quadrature is
 refused above r = 1 - 1e-6; past that only the boundary expansions are
-meaningful.
+meaningful.  The covariance kernel reads one such integral, the Herglotz
+transform Phi of the spectral measure (``herglotz``).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .spectral import SpectralMeasure
 
 __all__ = [
     "KernelPoint", "poisson_kernel", "P_op", "Q_op", "AuxValues", "aux_ops",
-    "harmonic_extension", "K_diag", "K_offdiag", "R_CEILING",
+    "herglotz", "harmonic_extension", "K_diag", "K_offdiag", "R_CEILING",
 ]
 
 #: radii above this are refused by direct quadrature
@@ -173,40 +174,37 @@ def aux_ops(h: PeriodicFunction, r: float) -> AuxValues:
 # ---------------------------------------------------------------------------
 
 
-def harmonic_extension(F: SpectralMeasure, z: complex) -> float:
-    """Poisson integral of the measure at z: int P_r(phi - t) dF(t)."""
+def herglotz(F: SpectralMeasure, z: complex) -> tuple[complex, complex]:
+    """Phi(z) = int (e^{it} + z)/(e^{it} - z) dF(t) and Phi'(z), on the rule at 0
+    in the frame rotated to phi = arg z.  With d = e^{is} - r formed as
+    (1 - r) - (1 - cos s) + i sin s, the kernels (y - 2ir sin s)/|d|^2 and
+    2 e^{-i phi} (d + r)/d^2 keep full precision as r -> 1; atoms are exact."""
     pt = KernelPoint.from_z(z)
-    _check_radius(pt.r)
-    total = 0.0
+    r = _check_radius(pt.r)
+    s, mass = np.array(F.atoms, dtype=float).reshape(-1, 2).T
+    s = wrap_angle(s - pt.phi)
     if F.density is not None:
-        breaks = F.density.breakpoints
-        pts, wts = _kernel_nodes(pt.r, breaks, centers=(pt.phi,))
-        total += float(np.sum(F.density(pts) * poisson_kernel(pt.r, wrap_angle(pt.phi - pts)) * wts))
-    for t, m in F.atoms:
-        total += m * poisson_kernel(pt.r, wrap_angle(pt.phi - t))
-    return total
+        dens = F.density.shifted(pt.phi)
+        pts, wts = _kernel_nodes(r, dens.breakpoints)
+        s, mass = np.concatenate([pts, s]), np.concatenate([dens(pts) * wts, mass])
+    x, sn = one_minus_cos(s), np.sin(s)
+    d = (1.0 - r) - x + 1j * sn
+    phi_z = np.sum(mass * ((1.0 - r) * (1.0 + r) - 2j * r * sn) / ((1.0 - r) ** 2 + 2.0 * r * x))
+    dphi_z = 2.0 * np.sum(mass * (d + r) / d**2) * cmath.exp(-1j * pt.phi)
+    return complex(phi_z), complex(dphi_z)
+
+
+def harmonic_extension(F: SpectralMeasure, z: complex) -> float:
+    """Poisson integral of the measure at z: int P_r(phi - t) dF(t) = Re Phi."""
+    return herglotz(F, z)[0].real
 
 
 def K_diag(F: SpectralMeasure, z: complex) -> float:
     """Variance of the series at z: harmonic extension over (1 - |z|^2)."""
-    pt = KernelPoint.from_z(z)
-    return harmonic_extension(F, z) / pt.y
+    return harmonic_extension(F, z) / KernelPoint.from_z(z).y
 
 
 def K_offdiag(F: SpectralMeasure, z: complex, w: complex) -> complex:
-    """Covariance kernel: int (1 - z e^{-it})^{-1} conj(1 - w e^{-it})^{-1} dF(t)."""
-    zp = KernelPoint.from_z(z)
-    wp = KernelPoint.from_z(w)
-    _check_radius(max(zp.r, wp.r))
-
-    def integrand(t):
-        return 1.0 / ((1.0 - z * np.exp(-1j * t)) * np.conj(1.0 - w * np.exp(-1j * t)))
-
-    total = 0.0 + 0.0j
-    if F.density is not None:
-        pts, wts = _kernel_nodes(max(zp.r, wp.r), F.density.breakpoints,
-                                 centers=(zp.phi, wp.phi))
-        total += complex(np.sum(F.density(pts) * integrand(pts) * wts))
-    for t, m in F.atoms:
-        total += m * integrand(np.array(t))
-    return complex(total)
+    """Covariance kernel int (1 - z e^{-it})^{-1} conj(1 - w e^{-it})^{-1} dF(t)."""
+    phi_z, phi_w = herglotz(F, z)[0], herglotz(F, w)[0]
+    return (phi_z + phi_w.conjugate()) / (2.0 * (1.0 - z * w.conjugate()))

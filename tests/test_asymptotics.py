@@ -11,7 +11,7 @@ from gafzeros.asymptotics import (ExpansionReport, _slice_functionals, expand_K,
                                   expand_P, expand_Q, expand_S, expand_S_via_products,
                                   fitted_order, rho1_boundary, verify_recursions)
 from gafzeros.errors import DegenerateDenominator, DomainError
-from gafzeros.intensity import rho1_qform, sr_value
+from gafzeros.intensity import rho1, rho1_qform, sr_value
 from gafzeros.periodic import COS, PeriodicFunction, mean, t_operator
 from gafzeros.poisson import P_op, Q_op, aux_ops
 from gafzeros.spectral import SpectralMeasure
@@ -259,6 +259,43 @@ def test_boundary_case_i_deficit_never_positive():
         case, rep = rho1_boundary(F, 0.7)
         assert case == "i"
         assert rep.coefficients[0] <= 1e-15
+
+
+HALF_CIRCLE = "indicator:lo=-1.5707963267948966,hi=1.5707963267948966"
+
+
+def test_boundary_case_i_atom_deficit():
+    # criterion 02's measured side: 1/y^2 - pi rho1 meets the reported
+    # deficit to O(y); the deficit read 0 while atoms were ignored
+    F = presets.parse_preset("mix:0.5*uniform+0.5*atoms:[(0,1)]")
+    case, rep = rho1_boundary(F, 1.0)
+    assert case == "i"
+    assert rep.inputs["deficit"] == pytest.approx(1.183029, rel=1e-6)
+    for r in (0.999, 0.9999):
+        y = 1 - r * r
+        measured = 1 / (y * y) - math.pi * rho1(F, r * cmath.exp(1j))
+        assert abs(measured - rep.inputs["deficit"]) <= 2 * y
+
+
+@pytest.mark.parametrize("text, phi, case", [
+    ("mix:0.5*ma1:a=0.5+0.5*atoms:[(1,1)]", math.pi, "ii"),
+    (f"mix:0.5*{HALF_CIRCLE}+0.5*atoms:[(0,1)]", 2.5, "iii"),
+])
+def test_boundary_atoms_enter_degenerate_cases(text, phi, case):
+    # 65% and 49% off while atoms were ignored
+    F = presets.parse_preset(text)
+    got, rep = rho1_boundary(F, phi)
+    assert got == case
+    r = 0.9999
+    y = 1 - r * r
+    value = rho1(F, r * cmath.exp(1j * phi))
+    assert abs(rep(y) - value) <= 2 * y * value
+
+
+def test_boundary_refuses_atom_in_direction():
+    F = presets.parse_preset("mix:0.5*uniform+0.5*atoms:[(1,1)]")
+    with pytest.raises(DomainError):
+        rho1_boundary(F, 1.0 + 1e-10)
 
 
 def test_boundary_requires_density_and_smoothness():

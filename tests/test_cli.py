@@ -48,7 +48,16 @@ def test_density_ek_matches_spectral(capsys):
     _, out_sp, _ = run_cli(capsys, "density", *base, "--method", "spectral")
     a = float(parse_kv(out_ek)["rho1"])
     b = float(parse_kv(out_sp)["rho1"])
-    assert abs(a - b) <= 1e-3 * abs(b)
+    assert abs(a - b) <= 1e-9 * abs(b)
+
+
+def test_density_ek_precision_error_contract(capsys):
+    code, out, err = run_cli(
+        capsys, "density", "--preset", "indicator:lo=-1.5707963267948966,hi=1.5707963267948966",
+        "--r", "0.9999", "--phi", "2.5", "--method", "ek")
+    assert code == 3
+    assert err.startswith("precision error:")
+    assert out == ""
 
 
 @pytest.mark.parametrize("preset", [
@@ -117,6 +126,16 @@ def test_asymptote_case_iii(capsys):
     kv = parse_kv(out)
     assert kv["case"] == "iii"
     assert float(kv["coeff[y^0]"]) == pytest.approx(1 / (6 * math.pi), rel=1e-6)
+
+
+def test_asymptote_atoms_enter_deficit(capsys):
+    base = ["asymptote", "--preset", "mix:0.5*uniform+0.5*atoms:[(0,1)]"]
+    code, out, _ = run_cli(capsys, *base, "--phi", "1.0")
+    assert code == 0
+    assert float(parse_kv(out)["input.deficit"]) == pytest.approx(1.183029, rel=1e-6)
+    code, out, err = run_cli(capsys, *base, "--phi", "0.0")
+    assert code == 2
+    assert "error" in err and out == ""
 
 
 _SLICE_KEYS = {"input.g0", "input.g2", "input.gc1", "input.I_Tgh", "input.I_T2gh",

@@ -243,6 +243,15 @@ def test_classify_refuses_unstructured_vanishing():
         classify_arcs(F)
 
 
+@pytest.mark.parametrize("c", [0.0, 1.0, math.pi])
+def test_classify_refuses_unstructured_vanishing_at_any_angle(c):
+    # the probe is cyclic: a zero run across the wrap at pi was read as full support
+    dens = PeriodicFunction.from_callable(
+        lambda s: np.maximum(0.0, (1.0 - np.cos(s - c)) - 4.5e-6))
+    with pytest.raises(SupportUnknown):
+        classify_arcs(SpectralMeasure(density=dens))
+
+
 @pytest.mark.parametrize("dens", [PeriodicFunction.constant(0.0),
                                   PeriodicFunction.step([-1.0, 1.0], [0.0, 0.0])])
 def test_classify_refuses_massless_density(dens):

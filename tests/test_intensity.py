@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gafzeros import presets
-from gafzeros.errors import CaseMismatch, DomainError, MethodUnavailable, PrecisionError
+from gafzeros.errors import (CaseMismatch, DegenerateDenominator, DomainError,
+                             MethodUnavailable, PrecisionError)
 from gafzeros.intensity import (rho1, rho1_closed_form, rho1_ek_numeric, rho1_qform,
                                 rho1_spectral, sr_positive_form, sr_value)
 from gafzeros.periodic import PeriodicFunction
@@ -73,7 +74,7 @@ def test_ek_oracle_agreement():
     for F, z in cases:
         a = rho1_spectral(F, z)
         b = rho1_ek_numeric(F, z)
-        assert abs(a - b) <= 1e-3 * abs(a) + 1e-10
+        assert abs(a - b) <= 1e-9 * abs(a) + 1e-10
 
 
 def test_ek_uniform_golden():
@@ -86,9 +87,61 @@ def test_ek_atom_flat():
     assert abs(got) < 1e-6
 
 
-def test_ek_stencil_domain():
-    with pytest.raises(DomainError):
-        rho1_ek_numeric(presets.uniform(), 0.9, step=0.06)
+TWO_ATOMS = "atoms:[(0,0.5),(3.141592653589793,0.5)]"
+HALF_CIRCLE = "indicator:lo=-1.5707963267948966,hi=1.5707963267948966"
+
+
+@pytest.mark.parametrize("text, phi, r", [
+    # the five-point stencil was 4.1e-3 and 2.0e-2 off at these points
+    ("ma1:a=0.5", math.pi, 0.9999),
+    (TWO_ATOMS, math.pi, 0.99),
+])
+def test_ek_matches_closed_form_at_named_points(text, phi, r):
+    F, z = presets.parse_preset(text), r * cmath.exp(1j * phi)
+    assert rho1_ek_numeric(F, z) == pytest.approx(rho1_closed_form(F, z), rel=1e-8)
+
+
+@pytest.mark.parametrize("text, phi, r", [
+    # the stencil returned values 2.6% and 1.8e5 relative off here
+    (HALF_CIRCLE, 2.5, 0.9999),
+    (TWO_ATOMS, math.pi, 0.99999),
+])
+def test_ek_refuses_cancelled_difference(text, phi, r):
+    with pytest.raises(PrecisionError) as err:
+        rho1_ek_numeric(presets.parse_preset(text), r * cmath.exp(1j * phi))
+    assert err.value.achievable > 1e-5
+
+
+def test_ek_massless_measure_is_degenerate():
+    F = SpectralMeasure(density=PeriodicFunction.step([-1.0, 1.0], [0.0, 0.0]))
+    with pytest.raises(DegenerateDenominator):
+        rho1_ek_numeric(F, 0.5)
+
+
+def test_ek_raises_or_agrees_with_closed_form_sweep():
+    # presets, atom mixes and random trig densities, r up to 1 - 2e-6: the
+    # route either meets 1e-5 max(rho1, 1/pi) or raises PrecisionError
+    texts = ["uniform", "ma1:a=0.3", "ma1:a=0.5", "ma1:a=-0.2", HALF_CIRCLE, TWO_ATOMS,
+             "indicator:lo=-1,hi=2", "mix:0.5*uniform+0.5*atoms:[(0,1)]",
+             "mix:0.5*ma1:a=0.5+0.5*indicator:lo=-1,hi=1",
+             "mix:0.5*ma1:a=0.5+0.5*atoms:[(1,1)]",
+             f"mix:0.5*{HALF_CIRCLE}+0.5*atoms:[(0,1)]"]
+    measures = [presets.parse_preset(t) for t in texts]
+    measures += [presets.random_trig_density(seed) for seed in range(6)]
+    rng = np.random.default_rng(2026)
+    agreed = 0
+    for F in measures:
+        for _ in range(120):
+            r = min(1.0 - 10.0 ** -rng.uniform(0.0, 5.7), 1.0 - 2e-6)
+            z = r * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+            want = rho1_closed_form(F, z)
+            try:
+                got = rho1_ek_numeric(F, z)
+            except PrecisionError:
+                continue
+            assert abs(got - want) <= 1e-5 * max(want, 1 / math.pi), (F.label, z)
+            agreed += 1
+    assert agreed >= 1800
 
 
 def test_rotation_equivariance():

@@ -10,8 +10,8 @@ from gafzeros import presets
 from gafzeros.errors import DomainError, PrecisionError
 from gafzeros.periodic import PeriodicFunction, mean, wrap_angle
 from gafzeros.poisson import (R_CEILING, AuxValues, K_diag, K_offdiag, KernelPoint,
-                              P_op, Q_op, aux_ops, graded_edges, harmonic_extension,
-                              poisson_kernel)
+                              P_op, Q_op, _kernel_nodes, aux_ops, graded_edges,
+                              harmonic_extension, herglotz, poisson_kernel)
 
 ONE = PeriodicFunction.constant(1.0)
 X = PeriodicFunction.from_trig([1.0, -1.0])  # 1 - cos s
@@ -160,6 +160,38 @@ def test_kernel_positivity_and_cauchy_schwarz():
             kzw = K_offdiag(F, z, w)
             assert kzz > 0
             assert abs(kzw) ** 2 <= kzz * kww * (1 + 1e-10)
+
+
+def test_herglotz_closed_forms():
+    for z in [r * cmath.exp(1j * phi) for r in (0.0, 0.5, 0.9, 0.99, 0.999, 0.9999)
+              for phi in (0.0, 1.0, 3.0, -2.0, math.pi)]:
+        phi, dphi = herglotz(presets.uniform(), z)
+        assert abs(phi - 1.0) <= 1e-13 and abs(dphi) <= 1e-11
+        for a in (0.3, -0.4):
+            phi, dphi = herglotz(presets.ma1(a), z)
+            assert abs(phi - (1 + 2 * a * z)) <= 1e-11 and abs(dphi - 2 * a) <= 1e-10
+        for t in (0.0, 2.0, -3.0):
+            e = cmath.exp(1j * t)
+            phi, dphi = herglotz(presets.atoms([(t, 1.0)]), z)
+            assert phi == pytest.approx((e + z) / (e - z), rel=1e-13)
+            assert dphi == pytest.approx(2 * e / (e - z) ** 2, rel=1e-13)
+
+
+def _K_offdiag_two_centre(F, z, w):
+    # the covariance integral on one rule graded toward both kernel centres
+    zp, wp = KernelPoint.from_z(z), KernelPoint.from_z(w)
+    pts, wts = _kernel_nodes(max(zp.r, wp.r), F.density.breakpoints, centers=(zp.phi, wp.phi))
+    integrand = 1.0 / ((1.0 - z * np.exp(-1j * pts)) * np.conj(1.0 - w * np.exp(-1j * pts)))
+    return complex(np.sum(F.density(pts) * integrand * wts))
+
+
+@pytest.mark.parametrize("F", [presets.ma1(0.4), presets.indicator(-math.pi / 2, math.pi / 2)])
+def test_K_offdiag_matches_two_centre_quadrature(F):
+    rng = np.random.default_rng(5)
+    for _ in range(12):
+        z = rng.uniform(0, 0.999) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+        w = rng.uniform(0, 0.999) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+        assert K_offdiag(F, z, w) == pytest.approx(_K_offdiag_two_centre(F, z, w), rel=1e-10)
 
 
 def test_harmonic_extension_matches_offdiag_on_diagonal():
