@@ -1,8 +1,8 @@
 """First intensity of the zero process, by four independent routes.
 
 * ``rho1_closed_form``: the kernel moments in closed form, as Fourier sums
-  for a trig density and arc integrals for a step (and their sum); the
-  ``auto`` route where it applies.
+  for a trig density and arc integrals for a step (and their sum), in plain
+  floats from a plan cached per density; the ``auto`` route where it applies.
 * ``rho1_spectral``: the double integral against the rotated measure,
   collapsed to three single integrals through
   1 - cos(t - s) = 1 - cos t cos s - sin t sin s.  Works for any measure,
@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import (CaseMismatch, DegenerateDenominator, DomainError,
                      MethodUnavailable, PrecisionError)
-from .periodic import PI, TWOPI, PeriodicFunction, TrigPoly, one_minus_cos, panel_nodes, wrap_angle
+from .periodic import PI, TWOPI, PeriodicFunction, one_minus_cos, panel_nodes, wrap_scalar
 from .poisson import KernelPoint, _check_radius, _kernel_nodes, herglotz, poisson_kernel
 from .spectral import SpectralMeasure
 
@@ -32,6 +32,8 @@ __all__ = [
 ]
 
 _DENOM_FLOOR = 1e-150
+#: a Gram numerator minus plus - s^2 negative within this fraction of ((minus + plus)/2)^2 reads 0
+_GRAM_ROUNDING = 1e-13
 #: relative accuracy of |Phi'| / Re Phi taken by the Edelman-Kostlan route
 _EK_EPS = 1e-10
 
@@ -43,7 +45,7 @@ def rho1(F: SpectralMeasure, z: complex, method: str = "auto") -> float:
     for an absolutely continuous measure and the double integral otherwise.
     """
     if method == "auto":
-        closed = F.density is None or F.density.wave_and_levels() is not None
+        closed = F.density is None or F.density.wave_and_arcs() is not None
         method = "closed_form" if closed else "spectral_double" if F.atoms else "q_form"
     if method == "closed_form":
         return rho1_closed_form(F, z)
@@ -56,28 +58,34 @@ def rho1(F: SpectralMeasure, z: complex, method: str = "auto") -> float:
     raise DomainError(f"unknown intensity method {method!r}")
 
 
-def _with_atoms(moments, F: SpectralMeasure, pt: KernelPoint, y: float):
-    """Add the exact atom terms to the density moments (minus, plus, s, b),
-    with the Poisson kernel y / (1 - 2r cos s + r^2) on the given y."""
+def _with_atoms(moments, atoms, r: float, phi: float, y: float):
+    """Add the exact atom terms to the density moments (minus, plus, s, b), the Poisson kernel
+    y / (1 - 2r cos u + r^2) at u = t - phi, 1 -+ cos u = 2 sin^2(u/2), 2 cos^2(u/2)."""
     minus, plus, s_, b = moments
-    for u, m in [(wrap_angle(t - pt.phi), m) for t, m in F.atoms]:
-        x = float(one_minus_cos(u))
-        pk = y / ((1.0 - pt.r) ** 2 + 2.0 * pt.r * x)
+    for t, m in atoms:
+        u = wrap_scalar(t - phi)
+        sn, cs = math.sin(0.5 * u), math.cos(0.5 * u)
+        x = 2.0 * sn * sn
+        pk = y / ((1.0 - r) ** 2 + 2.0 * r * x)
         minus += m * x * pk**2
-        plus += m * (2.0 - x) * pk**2
+        plus += m * (2.0 * cs * cs) * pk**2
         s_ += m * math.sin(u) * pk**2
         b += m * pk
     return minus, plus, s_, b
 
 
 def _ratio(moments, z: complex, y: float) -> float:
-    """The zero density (minus plus - s^2) / (pi y^2 b^2) from the moments."""
+    """Zero density (minus plus - s^2) / (pi y^2 b^2); a numerator negative by rounding reads 0."""
     minus, plus, s_, b = moments
-    if not np.isfinite(b) or b <= _DENOM_FLOOR:
+    if not math.isfinite(b) or b <= _DENOM_FLOOR:
         raise DegenerateDenominator(
             f"harmonic extension underflowed at z = {z!r} "
             f"(value {b!r}); the measure carries no mass near this direction")
-    return (minus * plus - s_ * s_) / (PI * y**2 * b * b)
+    num = minus * plus - s_ * s_
+    if num < -_GRAM_ROUNDING * 0.25 * (minus + plus) ** 2:
+        raise PrecisionError(f"zero density at z = {z!r} computed negative past rounding "
+                             f"(numerator {num!r}): no digit is right", achievable=1.0)
+    return max(num, 0.0) / (PI * y**2 * b * b)
 
 
 def _moment_integrals(F: SpectralMeasure, pt: KernelPoint):
@@ -101,18 +109,18 @@ def _moment_integrals(F: SpectralMeasure, pt: KernelPoint):
         plus += float(np.sum(fv * (2.0 - x) * pk2))
         s_ += float(np.sum(fv * np.sin(pts) * pk2))
         b += float(np.sum(fv * pk))
-    return _with_atoms((minus, plus, s_, b), F, pt, pt.y)
+    return _with_atoms((minus, plus, s_, b), F.atoms, pt.r, pt.phi, pt.y)
 
 
-def _trig_moments(tp: TrigPoly, phi: float, r: float):
-    """Moments of tp rotated by phi (c_k -> c_k e^(ik phi)) as finite sums
+def _trig_moments(c, phi: float, r: float):
+    """Moments of the spectrum c_(-d..d) rotated by phi (c_k -> c_k e^(ik phi)) as finite sums
     2 pi sum_k c_k g_(-k) over the kernel coefficients g_k: r^|k| for P,
     a_k = |k| r^|k| + (1 + r^2) r^|k|/y for P^2, (1 - r)/(1 + r) at k = 0 and
     (1 - r) r^(|k|-1) (r/(1 + r) - |k| (1 - r)/2) beyond for (1 - cos) P^2,
     2 a_k minus those for (1 + cos) P^2, and y k r^(|k|-1)/2i for sin P^2.
     The O(1/y) part of a_k multiplies h(0) + sum_k c_k expm1(|k| log r), so
     a density vanishing at the kernel center does not cancel it away."""
-    d, c = tp.degree, tp.c.tolist()
+    d = len(c) // 2
     A, B = 1.0 - r, 1.0 + r
     log_r = math.log(r) if r > 0.0 else -math.inf
     h0 = c[d].real
@@ -133,10 +141,10 @@ def _trig_moments(tp: TrigPoly, phi: float, r: float):
 
 
 def _half_point(s: float, A: float, B: float):
-    """(tail, integrals of P, (1 - cos) P^2 and (1 + cos) P^2) for s in [0, pi].
+    """(tail, integrals of P, (1 - cos) P^2, (1 + cos) P^2) to s in [0, pi], as an upper limit.
 
     With v = B tan(s/2)/A they are 2 arctan v, (2A/B) G(v) and (2B/A) H(v)
-    from 0 to s (a head, v <= 1), and 2 arctan w, (2A/B) H(w), (2B/A) G(w)
+    from 0 to s (a head, v <= 1), and minus 2 arctan w, (2A/B) H(w), (2B/A) G(w)
     from s to pi (a tail, w = 1/v <= 1), G, H = arctan -+ t/(1 + t^2): no
     large values then cancel off the support.  G(t) below 1/2 is summed as
     sum_(n>=1) (-1)^(n+1) 2n/(2n+1) t^(2n+1), to 1e-17 of its first term."""
@@ -145,11 +153,12 @@ def _half_point(s: float, A: float, B: float):
     t = A * cs / (B * sn) if tail else B * sn / (A * cs)
     at = math.atan(t)
     g, power, n = (at - t / (1.0 + t * t) if t > 0.5 else 0.0), t**3, 1
-    while t <= 0.5 and power > 1e-17 * t**3:
+    stop = 1e-17 * power
+    while t <= 0.5 and power > stop:
         g += (1 if n % 2 else -1) * 2.0 * n / (2 * n + 1) * power
         power, n = power * t * t, n + 1
-    g, h = (2.0 * at - g, g) if tail else (g, 2.0 * at - g)
-    return tail, (2.0 * at, 2.0 * A / B * g, 2.0 * B / A * h)
+    g, h, two = (2.0 * at - g, g, -2.0) if tail else (g, 2.0 * at - g, 2.0)
+    return tail, (two * at, two * A / B * g, two * B / A * h)
 
 
 def _arc_moments(lo: float, hi: float, r: float):
@@ -159,40 +168,37 @@ def _arc_moments(lo: float, hi: float, r: float):
     D = 1 - 2r cos + r^2, cos a - cos b = 2 sin((a + b)/2) sin((b - a)/2)."""
     A, B = 1.0 - r, 1.0 + r
     a, b = math.remainder(lo, TWOPI), math.remainder(hi, TWOPI)
-    even = [0.0, 0.0, 0.0]
-    for s1, s2 in ([(a, b)] if a < b else [(a, PI), (-PI, b)]):
-        for h1, h2 in ([(-s2, -s1)] if s2 <= 0.0 else [(s1, s2)] if s1 >= 0.0
-                       else [(0.0, -s1), (0.0, s2)]):
-            (tail1, v1), (tail2, v2) = _half_point(h1, A, B), _half_point(h2, A, B)
-            half = (PI, PI * A / B, PI * B / A) if tail2 and not tail1 else (0.0, 0.0, 0.0)
-            even = [e + f + (v if tail1 else -v) + (-w if tail2 else w)
-                    for e, f, v, w in zip(even, half, v1, v2)]
+    e0 = e1 = e2 = 0.0
+    for s1, s2 in ((a, b),) if a < b else ((a, PI), (-PI, b)):
+        for h1, h2 in (((-s2, -s1),) if s2 <= 0.0 else ((s1, s2),) if s1 >= 0.0
+                       else ((0.0, -s1), (0.0, s2))):
+            tail1, (p1, m1, q1) = _half_point(h1, A, B) if h1 else (False, (0.0, 0.0, 0.0))
+            tail2, (p2, m2, q2) = _half_point(h2, A, B)
+            f0, f1, f2 = (PI, PI * A / B, PI * B / A) if tail2 and not tail1 else (0.0, 0.0, 0.0)
+            e0, e1, e2 = e0 + f0 - p1 + p2, e1 + f1 - m1 + m2, e2 + f2 - q1 + q2
     d_ab = (A * A + 4.0 * r * math.sin(0.5 * a) ** 2) * (A * A + 4.0 * r * math.sin(0.5 * b) ** 2)
     s_ = 2.0 * (A * B) ** 2 * math.sin(0.5 * (a + b)) * math.sin(0.5 * (b - a)) / d_ab
-    return even[1], even[2], s_, even[0]
+    return e1, e2, s_, e0
 
 
 def rho1_closed_form(F: SpectralMeasure, z: complex) -> float:
-    """Zero density at z from the moments of ``_moment_integrals`` in closed
-    form, the density split into a trig wave over the circle plus a constant
-    level on each piece.  The moments are exact in r, so the ratio takes
+    """Zero density at z from the moments of ``_moment_integrals`` in closed form, the
+    density split once into a trig wave plus a level per piece (``wave_and_arcs``) and
+    summed in floats, no numpy call.  The moments are exact in r, so the ratio takes
     y = (1 - r)(1 + r); it is scale invariant, so normalization is not checked."""
-    pt = KernelPoint.from_z(z)
-    _check_radius(pt.r)
-    y = (1.0 - pt.r) * (1.0 + pt.r)
-    moments = [0.0, 0.0, 0.0, 0.0]
+    r = _check_radius(abs(z))
+    phi = cmath.phase(z) if r > 0.0 else 0.0
+    y = (1.0 - r) * (1.0 + r)
+    moments = (0.0, 0.0, 0.0, 0.0)
     if F.density is not None:
-        split = F.density.wave_and_levels()
-        if split is None:
+        plan = F.density.wave_and_arcs()
+        if plan is None:
             raise MethodUnavailable("closed_form needs pieces differing only in a constant")
-        wave, levels = split
-        breaks = F.density.breakpoints.tolist()
-        moments = list(_trig_moments(wave if breaks else F.density.pieces[0][0], pt.phi, pt.r))
-        for i, level in enumerate(levels if breaks else ()):
-            if level:
-                arc = _arc_moments(breaks[i - 1] - pt.phi, breaks[i] - pt.phi, pt.r)
-                moments = [m + level * a for m, a in zip(moments, arc)]
-    return _ratio(_with_atoms(moments, F, pt, y), z, y)
+        moments = _trig_moments(plan[0], phi, r)
+        for lo, hi, level in plan[1]:
+            arc = _arc_moments(lo - phi, hi - phi, r)
+            moments = [m + level * a for m, a in zip(moments, arc)]
+    return _ratio(_with_atoms(moments, F.atoms, r, phi, y), z, y)
 
 
 def rho1_spectral(F: SpectralMeasure, z: complex) -> float:

@@ -40,6 +40,12 @@ def wrap_angle(s):
     return w
 
 
+def wrap_scalar(s: float) -> float:
+    """``wrap_angle`` of one float in plain Python (a zero may differ in sign)."""
+    w = s - TWOPI * round(s / TWOPI)
+    return w + TWOPI if w <= -PI else w
+
+
 def one_minus_cos(s):
     """1 - cos(s) evaluated as 2*sin(s/2)^2 (no cancellation near 0)."""
     sn = np.sin(np.asarray(s, dtype=float) / 2.0)
@@ -246,7 +252,7 @@ class PeriodicFunction:
     hash by breakpoints, pieces and jet; a wrapped callable by identity.
     """
 
-    __slots__ = ("breakpoints", "pieces", "_jet", "_fn", "_levels")
+    __slots__ = ("breakpoints", "pieces", "_jet", "_fn", "_arcs")
 
     def __init__(self, breakpoints, pieces, *, jet=None, fn=None):
         self.breakpoints = np.asarray(breakpoints, dtype=float)
@@ -255,7 +261,7 @@ class PeriodicFunction:
             raise ValueError("need one piece per breakpoint interval")
         self._jet = None if jet is None else np.asarray(jet, dtype=float)
         self._fn = fn
-        self._levels = False  # wave_and_levels, once computed
+        self._arcs = False  # wave_and_arcs, once computed
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -315,15 +321,23 @@ class PeriodicFunction:
         """``(w, levels)`` with h = w + levels[i] on piece i, w a trig polynomial
         without constant term, when h wraps no callable and its pieces have no
         pole and differ only in their constant term (trig, step, or their sum)."""
-        if self._levels is False:
-            d = max(p.degree for p, _ in self.pieces)
-            specs = [_padded(p.c, d) for p, _ in self.pieces]
-            wave = np.where(np.arange(2 * d + 1) == d, 0.0, specs[0])
-            same = self._fn is None and all(
-                m == 0 and np.array_equal(np.delete(c, d), np.delete(wave, d))
-                for c, (_, m) in zip(specs, self.pieces))
-            self._levels = (TrigPoly(wave), [float(c[d].real) for c in specs]) if same else None
-        return self._levels
+        d = max(p.degree for p, _ in self.pieces)
+        specs = [_padded(p.c, d) for p, _ in self.pieces]
+        wave = np.where(np.arange(2 * d + 1) == d, 0.0, specs[0])
+        same = self._fn is None and all(
+            m == 0 and np.array_equal(np.delete(c, d), np.delete(wave, d))
+            for c, (_, m) in zip(specs, self.pieces))
+        return (TrigPoly(wave), [float(c[d].real) for c in specs]) if same else None
+
+    def wave_and_arcs(self):
+        """``wave_and_levels`` in Python numbers, cached, or None: the wave's spectrum (the
+        one piece's without breakpoints) and ``(lo, hi, level)`` per piece of nonzero level."""
+        if self._arcs is False:
+            split, b = self.wave_and_levels(), self.breakpoints.tolist()
+            self._arcs = None if split is None else (
+                tuple((split[0] if b else self.pieces[0][0]).c.tolist()),
+                tuple((b[i - 1], b[i], v) for i, v in enumerate(split[1] if b else ()) if v))
+        return self._arcs
 
     @property
     def smooth_at_zero(self) -> bool:

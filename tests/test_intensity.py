@@ -3,16 +3,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gafzeros import presets
 from gafzeros.errors import (CaseMismatch, DegenerateDenominator, DomainError,
                              MethodUnavailable, PrecisionError)
-from gafzeros.intensity import (rho1, rho1_closed_form, rho1_ek_numeric, rho1_qform,
-                                rho1_spectral, sr_positive_form, sr_value)
-from gafzeros.periodic import PeriodicFunction
-from gafzeros.poisson import KernelPoint, P_op
+from gafzeros.intensity import (_GRAM_ROUNDING, _ratio, rho1, rho1_closed_form,
+                                rho1_ek_numeric, rho1_qform, rho1_spectral, sr_positive_form,
+                                sr_value)
+from gafzeros.periodic import PI, TWOPI, PeriodicFunction, one_minus_cos, wrap_angle
+from gafzeros.poisson import KernelPoint, P_op, _check_radius
 from gafzeros.spectral import SpectralMeasure, shift
 
 HALF = math.pi / 2
@@ -239,6 +240,189 @@ def test_closed_form_density_vanishing_at_center_regression():
 def test_closed_form_radius_ceiling():
     with pytest.raises(PrecisionError):
         rho1_closed_form(presets.uniform(), 1.0 - 1e-8)
+
+
+# ---------------------------------------------------------------------------
+# the numpy-scalar closed form that the plain-float kernel replaced, kept as
+# a bit-identity oracle: a KernelPoint per call, the split read off TrigPoly
+# objects, numpy angle arithmetic per atom and 1 + cos u formed as 2 - x
+# ---------------------------------------------------------------------------
+
+
+def _oracle_with_atoms(moments, F, pt, y):
+    minus, plus, s_, b = moments
+    for u, m in [(wrap_angle(t - pt.phi), m) for t, m in F.atoms]:
+        x = float(one_minus_cos(u))
+        pk = y / ((1.0 - pt.r) ** 2 + 2.0 * pt.r * x)
+        minus += m * x * pk**2
+        plus += m * (2.0 - x) * pk**2
+        s_ += m * math.sin(u) * pk**2
+        b += m * pk
+    return minus, plus, s_, b
+
+
+def _oracle_ratio(moments, z, y):
+    minus, plus, s_, b = moments
+    if not np.isfinite(b) or b <= 1e-150:
+        raise DegenerateDenominator(f"harmonic extension underflowed at z = {z!r}")
+    return (minus * plus - s_ * s_) / (PI * y**2 * b * b)
+
+
+def _oracle_trig_moments(tp, phi, r):
+    d, c = tp.degree, tp.c.tolist()
+    A, B = 1.0 - r, 1.0 + r
+    log_r = math.log(r) if r > 0.0 else -math.inf
+    h0 = c[d].real
+    minus, plus, tail, odd, r_below = h0 * A / B, -h0 * A / B, 0.0, 0.0, 1.0
+    for k in range(1, d + 1):
+        rot = cmath.exp(1j * k * phi)
+        up, down = c[d + k] * rot, c[d - k] * rot.conjugate()
+        even = (up + down).real
+        m_k = A * r_below * (r / B - 0.5 * A * k)
+        h0 += even
+        tail += even * math.expm1(k * log_r)
+        minus += even * m_k
+        plus += even * (2.0 * k * r_below * r - m_k)
+        odd += k * r_below * (up - down).imag
+        r_below *= r
+    plus += 2.0 * (1.0 + r * r) / (A * B) * (h0 + tail)
+    return TWOPI * minus, TWOPI * plus, -PI * A * B * odd, TWOPI * (h0 + tail)
+
+
+def _oracle_half_point(s, A, B):
+    sn, cs = math.sin(0.5 * s), math.cos(0.5 * s)
+    tail = B * sn > A * cs
+    t = A * cs / (B * sn) if tail else B * sn / (A * cs)
+    at = math.atan(t)
+    g, power, n = (at - t / (1.0 + t * t) if t > 0.5 else 0.0), t**3, 1
+    while t <= 0.5 and power > 1e-17 * t**3:
+        g += (1 if n % 2 else -1) * 2.0 * n / (2 * n + 1) * power
+        power, n = power * t * t, n + 1
+    g, h = (2.0 * at - g, g) if tail else (g, 2.0 * at - g)
+    return tail, (2.0 * at, 2.0 * A / B * g, 2.0 * B / A * h)
+
+
+def _oracle_arc_moments(lo, hi, r):
+    A, B = 1.0 - r, 1.0 + r
+    a, b = math.remainder(lo, TWOPI), math.remainder(hi, TWOPI)
+    even = [0.0, 0.0, 0.0]
+    for s1, s2 in ([(a, b)] if a < b else [(a, PI), (-PI, b)]):
+        for h1, h2 in ([(-s2, -s1)] if s2 <= 0.0 else [(s1, s2)] if s1 >= 0.0
+                       else [(0.0, -s1), (0.0, s2)]):
+            (tail1, v1), (tail2, v2) = _oracle_half_point(h1, A, B), _oracle_half_point(h2, A, B)
+            half = (PI, PI * A / B, PI * B / A) if tail2 and not tail1 else (0.0, 0.0, 0.0)
+            even = [e + f + (v if tail1 else -v) + (-w if tail2 else w)
+                    for e, f, v, w in zip(even, half, v1, v2)]
+    d_ab = (A * A + 4.0 * r * math.sin(0.5 * a) ** 2) * (A * A + 4.0 * r * math.sin(0.5 * b) ** 2)
+    s_ = 2.0 * (A * B) ** 2 * math.sin(0.5 * (a + b)) * math.sin(0.5 * (b - a)) / d_ab
+    return even[1], even[2], s_, even[0]
+
+
+def _oracle_closed_form(F, z):
+    pt = KernelPoint.from_z(z)
+    _check_radius(pt.r)
+    y = (1.0 - pt.r) * (1.0 + pt.r)
+    moments = [0.0, 0.0, 0.0, 0.0]
+    if F.density is not None:
+        wave, levels = F.density.wave_and_levels()
+        breaks = F.density.breakpoints.tolist()
+        moments = list(_oracle_trig_moments(wave if breaks else F.density.pieces[0][0],
+                                            pt.phi, pt.r))
+        for i, level in enumerate(levels if breaks else ()):
+            if level:
+                arc = _oracle_arc_moments(breaks[i - 1] - pt.phi, breaks[i] - pt.phi, pt.r)
+                moments = [m + level * a for m, a in zip(moments, arc)]
+    return _oracle_ratio(_oracle_with_atoms(moments, F, pt, y), z, y)
+
+
+_LADDER = [1.0 - 10.0 ** (-k / 2.0) for k in range(2, 10)]
+_ATOM_FREE = [presets.parse_preset(t) for t in (
+    "uniform", "ma1:a=0.3", "ma1:a=0.5", HALF_CIRCLE, "indicator:lo=-1,hi=2",
+    "mix:0.5*ma1:a=0.5+0.5*indicator:lo=-1,hi=1")] + [presets.random_trig_density(3)]
+
+
+def _ladder_directions(F, seed):
+    """Seeded directions, +-pi, 0, and directions on and within 1e-5 of every
+    breakpoint."""
+    phis = list(np.random.default_rng(seed).uniform(-math.pi, math.pi, 30))
+    phis += [math.pi, -math.pi, 0.0]
+    for b in F.density.breakpoints.tolist() if F.density is not None else ():
+        phis += [b + e for e in (-1e-5, -1e-7, 0.0, 1e-7, 1e-5)]
+    return phis
+
+
+@pytest.mark.parametrize("F", _ATOM_FREE, ids=[F.label for F in _ATOM_FREE])
+def test_closed_form_is_bitwise_the_numpy_scalar_oracle(F):
+    points = 0
+    for phi in _ladder_directions(F, seed=len(F.label)):
+        for r in _LADDER + [0.0, 0.5]:
+            z = r * cmath.exp(1j * phi)
+            got, want = rho1(F, z), _oracle_closed_form(F, z)
+            assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), (phi, r)
+            points += 1
+    assert points >= 330
+
+
+@pytest.mark.parametrize("text", ["mix:0.5*uniform+0.5*atoms:[(0,1)]", TWO_ATOMS,
+                                  "mix:0.5*ma1:a=0.5+0.5*atoms:[(1,1)]"])
+def test_closed_form_with_atoms_moves_off_the_oracle_in_the_last_bits(text):
+    # 1 + cos u is now 2 cos^2(u/2), not 2 - x; where the density is not
+    # vanishingly small the values agree to rounding
+    F = presets.parse_preset(text)
+    for phi in _ladder_directions(F, seed=7) + [t for t, _ in F.atoms]:
+        for r in _LADDER:
+            z = r * cmath.exp(1j * phi)
+            got, want = rho1(F, z), _oracle_closed_form(F, z)
+            if want * math.pi * (1.0 - r * r) ** 2 >= 1e-6:
+                assert got == pytest.approx(want, rel=1e-12), (phi, r)
+
+
+def test_single_atom_at_pi_density_is_not_negative():
+    # 1 + cos u formed as 2 - x cancelled here: -4.8e-33 at the origin
+    F = presets.parse_preset("atoms:[(3.141592653589793,1)]")
+    for z in (0.0, 0.5, -0.5, 0.9j):
+        for route in (rho1_closed_form, rho1_spectral):
+            assert route(F, z) >= 0.0, (route.__name__, z)
+
+
+def test_ratio_reads_rounding_as_zero_and_raises_past_it():
+    assert _ratio((1.0, 1.0, 1.0 + 1e-16, 1.0), 0.5, 0.75) == 0.0
+    assert _ratio((1.0, 1.0, 1.0 - 1e-12, 1.0), 0.5, 0.75) > 0.0
+    with pytest.raises(PrecisionError) as err:
+        _ratio((1.0, 1.0, 1.0 + 1e-12, 1.0), 0.5, 0.75)
+    assert err.value.achievable == 1.0
+
+
+_EDGE_ANGLES = st.sampled_from([0.0, math.pi, -math.pi, math.nextafter(math.pi, 0.0),
+                                math.nextafter(-math.pi, 0.0)])
+
+
+@st.composite
+def atom_measures(draw):
+    """One to three atoms, some of them at 0 or +-pi."""
+    n = draw(st.integers(1, 3))
+    locs = draw(st.lists(st.one_of(_EDGE_ANGLES, st.floats(-math.pi, math.pi)),
+                         min_size=n, max_size=n))
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
+    return SpectralMeasure(atoms=tuple((t, w / sum(weights)) for t, w in zip(locs, weights)))
+
+
+atom_disk_points = st.one_of(
+    st.just(0j),
+    st.tuples(st.floats(0.0, 1.0 - 2e-6), st.one_of(_EDGE_ANGLES, st.floats(-math.pi, math.pi)))
+    .map(lambda p: p[0] * cmath.exp(1j * p[1])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(atom_measures(), atom_disk_points)
+@example(SpectralMeasure(atoms=((math.pi, 1.0),)), 0j)
+def test_atom_density_lies_between_zero_and_the_hyperbolic_ceiling(F, z):
+    y = 1.0 - abs(z) ** 2
+    for route in (rho1_closed_form, rho1_spectral):
+        scaled = route(F, z) * math.pi * y * y
+        assert 0.0 <= scaled <= 1.0 + 1e-12, route.__name__
+        if len(F.atoms) == 1:
+            assert scaled <= _GRAM_ROUNDING, route.__name__
 
 
 @st.composite

@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gafzeros.errors import DomainError
 from gafzeros.periodic import (SIN, PeriodicFunction, TrigPoly,
                                divide_by_one_minus_cos, mean, one_minus_cos,
-                               panel_nodes, t_operator, wrap_angle)
+                               panel_nodes, t_operator, wrap_angle, wrap_scalar)
 
 S_GRID = np.linspace(-3.1, 3.1, 41)
 
@@ -18,6 +18,19 @@ def test_wrap_angle_half_open():
     assert wrap_angle(-np.pi) == np.pi
     assert wrap_angle(3 * np.pi) == np.pi
     assert abs(wrap_angle(np.pi + 0.3) - (-np.pi + 0.3)) < 1e-14
+
+
+_WRAP_EDGES = [k * math.pi for k in (-3, -2, -1, 1, 2, 3)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.floats(-1e6, 1e6), st.floats(-20.0, 20.0),
+                 st.sampled_from(_WRAP_EDGES + [math.nextafter(e, d) for e in _WRAP_EDGES
+                                                for d in (-math.inf, math.inf)])))
+@example(0.0)
+@example(-0.0)
+def test_wrap_scalar_is_wrap_angle_of_one_float(s):
+    assert wrap_scalar(s) == float(wrap_angle(s))
 
 
 def test_one_minus_cos_small_angle():
@@ -190,6 +203,22 @@ def test_wave_and_levels_reads_constant_terms():
     assert list(levels) == [0.5, 2.5]
     assert (trig * step).wave_and_levels() is None
     assert PeriodicFunction.from_callable(np.cos).wave_and_levels() is None
+
+
+def test_wave_and_arcs_is_wave_and_levels_as_floats():
+    trig = PeriodicFunction.from_trig([0.5, 0.25], [0.0, 0.1])
+    step = PeriodicFunction.step([-1.0, 1.0, 2.0], [0.0, 2.0, 3.0])
+    # no breakpoints: the one piece, constant term included, and no arcs
+    assert trig.wave_and_arcs() == (tuple(trig.trig.c.tolist()), ())
+    wave, arcs = (trig + step).wave_and_arcs()
+    assert wave == tuple((trig + step).wave_and_levels()[0].c.tolist())
+    assert all(type(c) is complex for c in wave)
+    # the first piece's arc (2, -1] wraps
+    assert arcs == ((2.0, -1.0, 0.5), (-1.0, 1.0, 2.5), (1.0, 2.0, 3.5))
+    # a zero level has no arc; the plan is read once
+    assert step.wave_and_arcs() == ((0j,), ((-1.0, 1.0, 2.0), (1.0, 2.0, 3.0)))
+    assert step.wave_and_arcs() is step.wave_and_arcs()
+    assert (trig * step).wave_and_arcs() is None
 
 
 @st.composite
