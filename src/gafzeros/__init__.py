@@ -17,7 +17,7 @@ from .continuation import (Arc, arc_radius_bound, classify_arcs,
 from .errors import (BoundaryTieWarning, CaseMismatch, DegenerateDenominator,
                      DomainError, GafError, MethodUnavailable,
                      NormalizationError, PrecisionError, SolverError,
-                     SupportUnknown, TailWarning, TruncationBiasWarning)
+                     TailWarning, TruncationBiasWarning)
 from .experiments import (ExperimentConfig, RadialProfile, analytic_cell_counts,
                           emit_profile, load_profile, run_experiment)
 from .intensity import (rho1, rho1_ek_numeric, rho1_qform, rho1_spectral,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PrecisionError, SupportUnknown, TailWarning
+from .errors import DomainError, PrecisionError, TailWarning
 from .periodic import PI, TWOPI, one_minus_cos, wrap_angle
 from .poisson import _kernel_nodes
 from .spectral import SpectralMeasure
@@ -196,29 +196,24 @@ def arc_radius_bound(arc: Arc, r: float) -> float:
 #: coefficients, probe values and arc widths at or below this count as zero
 _ZERO_TOL = 1e-12
 
-#: probe points for a wrapped callable, whose one piece is only an FFT fit
-_PROBE_POINTS = 4096
+#: midpoints at which a one-piece density is checked for sign
+_SIGN_POINTS = 4096
 
 
 def _support(dens) -> list[tuple[float, float]]:
     """Sorted merged runs (lo, hi) of the pieces whose coefficients are not
     all zero (piece i + 1 covers (b[i], b[i + 1]]); a run through pi ends
     past pi.  A nonzero trig polynomial vanishes at isolated points only, so
-    one such piece is full support.  A wrapped callable is probed at
-    ``_PROBE_POINTS`` points: isolated zeros do not open the support, but
-    three probe zeros in a row, cyclically, raise SupportUnknown rather than
-    guessing endpoints numerically."""
-    if not dens.breakpoints.size and dens.trig is None:  # a wrapped callable
-        probe = wrap_angle(-PI + TWOPI * (np.arange(_PROBE_POINTS) + 0.5) / _PROBE_POINTS)
-        vals = dens(probe)
-        if np.min(vals) < -_ZERO_TOL:
-            raise DomainError("density is negative")
-        zero = vals <= _ZERO_TOL
-        if np.any(zero & np.roll(zero, 1) & np.roll(zero, 2)):
-            raise SupportUnknown(
-                "density appears to vanish on an interval but carries no "
-                "breakpoint structure; refusing to guess arc endpoints")
-        return [(-PI, PI)]
+    one such piece is full support once it is seen to be nonnegative:
+    without evaluation when c_0 >= sum_{k != 0} |c_k|, else at
+    ``_SIGN_POINTS`` midpoints, where a value below -_ZERO_TOL raises
+    DomainError."""
+    if not dens.breakpoints.size:
+        p = dens.pieces[0][0]
+        if 2.0 * p.c[p.degree].real < np.abs(p.c).sum():  # c_0 < sum_{k != 0} |c_k|
+            probe = -PI + TWOPI * (np.arange(_SIGN_POINTS) + 0.5) / _SIGN_POINTS
+            if np.min(dens(probe)) < -_ZERO_TOL:
+                raise DomainError("density is negative")
     breaks = list(dens.breakpoints) or [-PI]
     runs: list[tuple[float, float]] = []
     for lo, hi, (p, _) in zip(breaks, breaks[1:] + [breaks[0] + TWOPI],
@@ -307,9 +302,5 @@ def continuation_report(F: SpectralMeasure, r: float, k_max: int = 512) -> Conti
     tail = _tail_orders(k_max)
     lv = log_variance_alpha(F, r, np.arange(0, k_max + 1))
     rho = _rho_from_tail(tail, lv[tail.astype(int)])
-    try:
-        arcs = classify_arcs(F)
-    except SupportUnknown:
-        arcs = []
     return ContinuationReport(r=float(r), k_max=int(k_max), log_var_sequence=lv,
-                              rho_estimate=rho, arcs=arcs, F_label=F.label)
+                              rho_estimate=rho, arcs=classify_arcs(F), F_label=F.label)

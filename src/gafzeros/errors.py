@@ -50,10 +50,6 @@ class SolverError(GafError, RuntimeError):
         self.partial = partial
 
 
-class SupportUnknown(GafError, ValueError):
-    """The support of the measure cannot be certified from its representation."""
-
-
 class TruncationBiasWarning(UserWarning):
     """Polynomial truncation bias may be non-negligible near the outer radius."""
 

@@ -8,6 +8,7 @@ value is p(s) / (1 - cos s)^m.  Sums, products, shifts, parity parts and the
 difference-quotient operator act on the pieces exactly; integrals are closed
 form on pieces with m = 0 and Gauss-Legendre on panels graded toward the pole
 at s = 0 otherwise.  The Taylor jet at s = 0 is read off the piece holding 0.
+A smooth callable enters as data too: its checked trigonometric fit.
 """
 
 from __future__ import annotations
@@ -25,9 +26,11 @@ TWOPI = 2.0 * math.pi
 #: order of the Taylor jet carried at s = 0 (coefficients of s^0 .. s^8)
 JET_LEN = 9
 
-#: FFT size and frequency cap for the spectrum of a wrapped callable
+#: FFT size and frequency cap for the trig fit of a callable
 _FFT_SIZE = 8192
 _FFT_MAX_K = 512
+#: largest miss of that fit at the grid midpoints, relative to max |fn|
+_FIT_TOL = 1e-10
 
 _BREAK_MERGE_TOL = 1e-12
 
@@ -249,18 +252,17 @@ class PeriodicFunction:
 
     ``breakpoints`` is sorted and wrapped; ``pieces[i] = (p, m)`` covers
     (breakpoints[i-1], breakpoints[i]] cyclically.  Functions compare and
-    hash by breakpoints, pieces and jet; a wrapped callable by identity.
+    hash by breakpoints, pieces and jet.
     """
 
-    __slots__ = ("breakpoints", "pieces", "_jet", "_fn", "_arcs")
+    __slots__ = ("breakpoints", "pieces", "_jet", "_arcs")
 
-    def __init__(self, breakpoints, pieces, *, jet=None, fn=None):
+    def __init__(self, breakpoints, pieces, *, jet=None):
         self.breakpoints = np.asarray(breakpoints, dtype=float)
         self.pieces = tuple(pieces)
         if len(self.pieces) != max(self.breakpoints.size, 1):
             raise ValueError("need one piece per breakpoint interval")
         self._jet = None if jet is None else np.asarray(jet, dtype=float)
-        self._fn = fn
         self._arcs = False  # wave_and_arcs, once computed
 
     # -- constructors ------------------------------------------------------
@@ -278,18 +280,33 @@ class PeriodicFunction:
 
     @classmethod
     def from_callable(cls, fn: Callable):
-        """Wrap a smooth callable.  Pointwise values come from ``fn``; its one
-        piece is the FFT spectrum of ``fn`` on 8192 points, cut to |k| <= 512
-        and to coefficients above 1e-13 of the largest."""
-        s = wrap_angle(TWOPI * np.arange(_FFT_SIZE) / _FFT_SIZE)
-        coeffs = np.fft.fft(np.asarray(fn(s), dtype=float)) / _FFT_SIZE
-        ks = np.fft.fftfreq(_FFT_SIZE, d=1.0 / _FFT_SIZE).astype(int)
+        """The trig polynomial fitted to a smooth callable, which is not kept:
+        the FFT spectrum of ``fn`` on 8192 points, cut to |k| <= 512 and to
+        coefficients above 1e-13 of the largest.  DomainError for a callable
+        exactly 0 at three grid points in a row (cyclically), whose support
+        needs breakpoints, and for one the fit misses at the grid midpoints by
+        more than 1e-10 max |fn|, as at a kink or jump or when the spectrum is
+        still above the cut at |k| = 512."""
+        n = _FFT_SIZE
+        both = np.asarray(fn(wrap_angle(PI * np.arange(2 * n) / n)), dtype=float)
+        vals, mids = both[::2], both[1::2]
+        zero = vals == 0.0
+        if np.any(zero & np.roll(zero, 1) & np.roll(zero, 2)):
+            raise DomainError("callable vanishes on an interval: give it breakpoints")
+        coeffs = np.fft.fft(vals) / n
+        ks = np.fft.fftfreq(n, d=1.0 / n).astype(int)
         mags = np.abs(coeffs)
         keep = (mags > 1e-13 * max(mags.max(), 1e-300)) & (np.abs(ks) <= _FFT_MAX_K)
+        # the fit at the midpoints: the kept spectrum rotated by half a grid step
+        fit = np.fft.ifft(np.where(keep, coeffs * np.exp(1j * PI * ks / n), 0.0)).real * n
+        miss = np.max(np.abs(fit - mids))
+        if not miss <= _FIT_TOL * np.max(np.abs(both)):
+            raise DomainError(f"trig fit to |k| <= {_FFT_MAX_K} misses the callable by "
+                              f"{miss:.3g}: not smooth enough (a kink or jump?)")
         d = int(np.abs(ks[keep]).max(initial=0))
         c = np.zeros(2 * d + 1, dtype=complex)
         c[d + ks[keep]] = coeffs[keep]
-        return cls((), [(TrigPoly(c), 0)], fn=fn)
+        return cls.from_trigpoly(TrigPoly(c))
 
     @classmethod
     def step(cls, breakpoints: Sequence[float], values: Sequence[float]):
@@ -306,37 +323,29 @@ class PeriodicFunction:
         return cls(merged, [(TrigPoly.constant(vals[i]), 0) for i in idx])
 
     # -- structure -----------------------------------------------------------
-    def _whole(self) -> TrigPoly | None:
+    @property
+    def trig(self) -> TrigPoly | None:
         """The numerator of a one-piece function without pole, else None."""
         p, m = self.pieces[0]
         return p if len(self.pieces) == 1 and m == 0 else None
 
-    @property
-    def trig(self) -> TrigPoly | None:
-        """The trig polynomial of a one-piece function without pole that does
-        not wrap a callable, else None."""
-        return self._whole() if self._fn is None else None
-
-    def wave_and_levels(self):
-        """``(w, levels)`` with h = w + levels[i] on piece i, w a trig polynomial
-        without constant term, when h wraps no callable and its pieces have no
-        pole and differ only in their constant term (trig, step, or their sum)."""
-        d = max(p.degree for p, _ in self.pieces)
-        specs = [_padded(p.c, d) for p, _ in self.pieces]
-        wave = np.where(np.arange(2 * d + 1) == d, 0.0, specs[0])
-        same = self._fn is None and all(
-            m == 0 and np.array_equal(np.delete(c, d), np.delete(wave, d))
-            for c, (_, m) in zip(specs, self.pieces))
-        return (TrigPoly(wave), [float(c[d].real) for c in specs]) if same else None
-
     def wave_and_arcs(self):
-        """``wave_and_levels`` in Python numbers, cached, or None: the wave's spectrum (the
-        one piece's without breakpoints) and ``(lo, hi, level)`` per piece of nonzero level."""
+        """Cached split h = w + levels[i] on piece i, w a trig wave without
+        constant term, in Python numbers, when no piece has a pole and the pieces
+        differ only in their constant term (trig, step, or their sum), else
+        None: the wave's spectrum (the one piece's without breakpoints) and
+        ``(lo, hi, level)`` per piece of nonzero level."""
         if self._arcs is False:
-            split, b = self.wave_and_levels(), self.breakpoints.tolist()
-            self._arcs = None if split is None else (
-                tuple((split[0] if b else self.pieces[0][0]).c.tolist()),
-                tuple((b[i - 1], b[i], v) for i, v in enumerate(split[1] if b else ()) if v))
+            d = max(p.degree for p, _ in self.pieces)
+            specs = [_padded(p.c, d) for p, _ in self.pieces]
+            wave = np.where(np.arange(2 * d + 1) == d, 0.0, specs[0])
+            b = self.breakpoints.tolist()
+            self._arcs = None
+            if all(m == 0 and np.array_equal(np.delete(c, d), np.delete(wave, d))
+                   for c, (_, m) in zip(specs, self.pieces)):
+                self._arcs = (tuple((wave if b else specs[0]).tolist()), tuple(
+                    (b[i - 1], b[i], v) for i, v in
+                    enumerate(float(c[d].real) for c in specs) if b and v))
         return self._arcs
 
     @property
@@ -361,8 +370,7 @@ class PeriodicFunction:
     def _key(self):
         jet = self.jet() if self.smooth_at_zero else None
         return (_bytes(self.breakpoints), tuple((_bytes(p.c), m) for p, m in self.pieces),
-                None if jet is None else _bytes(jet),
-                None if self._fn is None else id(self._fn))
+                None if jet is None else _bytes(jet))
 
     def __eq__(self, other):
         if not isinstance(other, PeriodicFunction):
@@ -375,9 +383,7 @@ class PeriodicFunction:
     # -- evaluation ---------------------------------------------------------
     def __call__(self, s):
         s_arr = wrap_angle(s)
-        if self._fn is not None:
-            out = np.asarray(self._fn(s_arr), dtype=float)
-        elif self.trig is not None:
+        if self.trig is not None:
             out = self.trig(s_arr)
         else:
             flat = s_arr.ravel()
@@ -488,7 +494,7 @@ class PeriodicFunction:
         over one full period of a one-piece function), graded Gauss-Legendre
         on pieces with a pole."""
         edges = np.asarray(edges, dtype=float)
-        whole = self._whole()
+        whole = self.trig
         if whole is not None and edges.size == 2 and edges[1] - edges[0] == TWOPI:
             return np.array([TWOPI * whole.coefficient(k)])
         b = self.breakpoints
@@ -637,7 +643,7 @@ def mean(h: PeriodicFunction) -> float:
     The constant coefficient for a one-piece function without pole, else the
     sum of the per-piece integrals of :meth:`PeriodicFunction.integrals`.
     """
-    whole = h._whole()
+    whole = h.trig
     if whole is not None:
         return whole.mean()
     return float(np.real(h.integrals(np.array([-PI, PI]))[0])) / TWOPI

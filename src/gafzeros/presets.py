@@ -80,18 +80,17 @@ def mix(*weighted) -> SpectralMeasure:
     return SpectralMeasure(density=dens, atoms=tuple(out_atoms), label=label)
 
 
-def random_trig_density(seed: int, degree: int = 4, strictly_positive=True) -> SpectralMeasure:
-    """Seeded random nonnegative trig-polynomial density (a spectral square).
+def random_trig_density(seed: int, degree: int = 4) -> SpectralMeasure:
+    """Seeded random positive trig-polynomial density (a spectral square).
 
-    Draws complex coefficients g_0..g_degree and uses |sum g_m e^{ims}|^2
-    normalized to total mass one, which is nonnegative by construction.
-    ``strictly_positive`` adds a small constant floor before normalizing.
+    Draws complex coefficients g_0..g_degree and uses |sum g_m e^{ims}|^2,
+    nonnegative by construction, plus a constant floor of 0.05 of its
+    coefficient sum, normalized to total mass one.
     """
     rng = np.random.default_rng(seed)
     g = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
     spec = np.convolve(g, np.conj(g)[::-1])  # coefficients of |G|^2, k=-d..d
-    if strictly_positive:
-        spec[degree] += 0.05 * np.abs(spec).sum()
+    spec[degree] += 0.05 * np.abs(spec).sum()
     spec = spec / (TWOPI * spec[degree].real)
     dens = PeriodicFunction.from_trig(*TrigPoly(spec).cos_sin_coeffs())
     return SpectralMeasure(density=dens, label=f"randtrig:seed={seed},degree={degree}")

@@ -102,6 +102,10 @@ def _block_machine(F: SpectralMeasure, N: int, grid_size: int | None):
     if N < 1:
         raise DomainError("block length N must be at least 1")
     M = default_grid_size(N) if grid_size is None else int(grid_size)
+    if M < N + 1:
+        # lags are resolved only up to M - 1: a coarser grid aliases lag M to lag 0
+        raise DomainError(f"frequency grid of {M} nodes aliases a block of length "
+                          f"{N + 1}; need grid_size >= N + 1")
     t, w = spectral_nodes(F, M)
     phases = np.exp(-1j * np.outer(np.arange(N + 1), t))
     return M, np.sqrt(w), phases

@@ -105,8 +105,8 @@ def apply_T(h: PeriodicFunction, power: int = 1) -> PeriodicFunction:
 def derivatives_at_zero(h: PeriodicFunction, order: int) -> float:
     """Derivative of h at s = 0, order <= 4.
 
-    Read off the exact Taylor jet of the piece holding 0 (for a wrapped
-    callable, of its FFT spectrum); requires no breakpoint at 0.
+    Read off the exact Taylor jet of the piece holding 0 (for a density
+    built from a callable, of its trig fit); requires no breakpoint at 0.
     """
     if order < 0 or order > 4:
         raise DomainError("order must be between 0 and 4")

@@ -11,7 +11,7 @@ from gafzeros import presets
 from gafzeros.continuation import (Arc, _log_weights, arc_radius_bound,
                                    classify_arcs, continuation_report,
                                    log_variance_alpha, rho_local, variance_alpha)
-from gafzeros.errors import DomainError, SupportUnknown, TailWarning
+from gafzeros.errors import DomainError, TailWarning
 from gafzeros.intensity import rho1
 from gafzeros.periodic import PeriodicFunction, mean, wrap_angle
 from gafzeros.spectral import SpectralMeasure, shift
@@ -234,21 +234,39 @@ def test_classify_reads_zero_pieces(F, want):
 
 
 def test_classify_refuses_unstructured_vanishing():
+    # a callable that vanishes on an arc has no breakpoints to carry its
+    # support, so it is refused as a density before it can be classified
     def bump(s):
         out = np.cos(s) - 0.5
         return np.where(out > 0, out, 0.0) / 2.275730985272986
-    dens = PeriodicFunction.from_callable(bump)
-    F = SpectralMeasure(density=dens, label="flat-bump")
-    with pytest.raises(SupportUnknown):
-        classify_arcs(F)
+    with pytest.raises(DomainError, match="vanishes on an interval"):
+        PeriodicFunction.from_callable(bump)
 
 
 @pytest.mark.parametrize("c", [0.0, 1.0, math.pi])
 def test_classify_refuses_unstructured_vanishing_at_any_angle(c):
-    # the probe is cyclic: a zero run across the wrap at pi was read as full support
-    dens = PeriodicFunction.from_callable(
-        lambda s: np.maximum(0.0, (1.0 - np.cos(s - c)) - 4.5e-6))
-    with pytest.raises(SupportUnknown):
+    # the zero run is counted cyclically: across the wrap at pi too
+    with pytest.raises(DomainError, match="vanishes on an interval"):
+        PeriodicFunction.from_callable(
+            lambda s: np.maximum(0.0, (1.0 - np.cos(s - c)) - 4.5e-6))
+
+
+def test_classify_callable_with_isolated_zeros_is_full_support():
+    # sin^20 vanishes to high order at 0 and pi but on no interval, like
+    # the same polynomial built from its coefficients
+    mass = 2.0 * math.pi * math.comb(20, 10) / 2.0 ** 20
+    F = SpectralMeasure(density=PeriodicFunction.from_callable(
+        lambda s: np.sin(s) ** 20 / mass))
+    F.validate_normalized()
+    assert [(a.lo, a.hi, a.kind) for a in classify_arcs(F)] == [
+        (-math.pi, math.pi, "singular")]
+    assert classify_arcs(shift(F, 0.0)) == classify_arcs(F)
+
+
+@pytest.mark.parametrize("dens", [PeriodicFunction.from_callable(np.cos),
+                                  PeriodicFunction.from_trig([0.1, 0.0, 0.2])])
+def test_classify_refuses_negative_density(dens):
+    with pytest.raises(DomainError, match="density is negative"):
         classify_arcs(SpectralMeasure(density=dens))
 
 
@@ -420,7 +438,7 @@ def _measures(draw):
 def _outcome(classify, F):
     try:
         return classify(F)
-    except (DomainError, SupportUnknown) as exc:
+    except DomainError as exc:
         return type(exc)
 
 

@@ -158,8 +158,8 @@ def test_degenerate_direction_sector_counts():
     presets.uniform(),
     presets.indicator(-math.pi / 2, math.pi / 2),
     presets.mix((0.5, presets.uniform()), (0.5, presets.indicator(-1.0, 1.0))),
-    # a bare callable does not pickle and has no preset label: only the
-    # coefficient blocks cross the process boundary, so neither is needed
+    # a density built from a callable has no preset label: only the
+    # coefficient blocks cross the process boundary, so none is needed
     SpectralMeasure(density=PeriodicFunction.from_callable(
         lambda s: (1.0 + 0.6 * np.cos(s)) / (2.0 * math.pi))),
 ], ids=["uniform", "indicator", "mix", "callable"])

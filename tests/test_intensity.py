@@ -12,7 +12,7 @@ from gafzeros.errors import (CaseMismatch, DegenerateDenominator, DomainError,
 from gafzeros.intensity import (_GRAM_ROUNDING, _ratio, rho1, rho1_closed_form,
                                 rho1_ek_numeric, rho1_qform, rho1_spectral, sr_positive_form,
                                 sr_value)
-from gafzeros.periodic import PI, TWOPI, PeriodicFunction, one_minus_cos, wrap_angle
+from gafzeros.periodic import PI, TWOPI, PeriodicFunction, TrigPoly, one_minus_cos, wrap_angle
 from gafzeros.poisson import KernelPoint, P_op, _check_radius
 from gafzeros.spectral import SpectralMeasure, shift
 
@@ -199,13 +199,17 @@ def test_rho1_dispatcher_routes():
                      (presets.parse_preset("mix:0.5*ma1:a=0.3+0.5*indicator:lo=-1,hi=2"),
                       rho1_closed_form),
                      (presets.atoms([(0.0, 0.5), (2.0, 0.5)]), rho1_closed_form),
-                     (_trig_on_arc(), rho1_qform),
-                     (callable_ma1, rho1_qform)):
+                     (callable_ma1, rho1_closed_form),
+                     (_trig_on_arc(), rho1_qform)):
         for w in (0.5, 0.9 * cmath.exp(2.2j), 0.999 * cmath.exp(-0.4j)):
             assert rho1(G, w) == route(G, w), G.label
         if route is rho1_qform:
             with pytest.raises(MethodUnavailable):
                 rho1_closed_form(G, 0.5)
+    # a callable density is its trig fit: the ma1 closed form to rounding
+    for w in (0.5, 0.9 * cmath.exp(2.2j), 0.999 * cmath.exp(-0.4j)):
+        want = rho1_closed_form(presets.ma1(0.3), w)
+        assert abs(rho1(callable_ma1, w) - want) <= 5.5e-16 * want
 
 
 def test_closed_form_matches_qform_on_presets_up_the_ladder():
@@ -244,8 +248,8 @@ def test_closed_form_radius_ceiling():
 
 # ---------------------------------------------------------------------------
 # the numpy-scalar closed form that the plain-float kernel replaced, kept as
-# a bit-identity oracle: a KernelPoint per call, the split read off TrigPoly
-# objects, numpy angle arithmetic per atom and 1 + cos u formed as 2 - x
+# a bit-identity oracle: a KernelPoint per call, the wave read as a TrigPoly,
+# numpy angle arithmetic per atom and 1 + cos u formed as 2 - x
 # ---------------------------------------------------------------------------
 
 
@@ -324,14 +328,11 @@ def _oracle_closed_form(F, z):
     y = (1.0 - pt.r) * (1.0 + pt.r)
     moments = [0.0, 0.0, 0.0, 0.0]
     if F.density is not None:
-        wave, levels = F.density.wave_and_levels()
-        breaks = F.density.breakpoints.tolist()
-        moments = list(_oracle_trig_moments(wave if breaks else F.density.pieces[0][0],
-                                            pt.phi, pt.r))
-        for i, level in enumerate(levels if breaks else ()):
-            if level:
-                arc = _oracle_arc_moments(breaks[i - 1] - pt.phi, breaks[i] - pt.phi, pt.r)
-                moments = [m + level * a for m, a in zip(moments, arc)]
+        wave, arcs = F.density.wave_and_arcs()
+        moments = list(_oracle_trig_moments(TrigPoly(wave), pt.phi, pt.r))
+        for lo, hi, level in arcs:
+            arc = _oracle_arc_moments(lo - pt.phi, hi - pt.phi, pt.r)
+            moments = [m + level * a for m, a in zip(moments, arc)]
     return _oracle_ratio(_oracle_with_atoms(moments, F, pt, y), z, y)
 
 

@@ -54,6 +54,22 @@ def test_periodicity_at_pm_pi():
     assert g(np.pi - 1e-12) == pytest.approx(g(-np.pi + 1e-12), abs=1e-10)
 
 
+@pytest.mark.parametrize("fn", [np.abs, lambda s: np.maximum(np.cos(s), 0.5),
+                                lambda s: 1.0 + (s > 0.0), lambda s: 1.0 / (1.0001 + np.cos(s))],
+                         ids=["abs", "clipped-cos", "jump", "slow-decay"])
+def test_from_callable_refuses_what_its_fit_misses(fn):
+    # a kink, a jump, or a spectrum still above the cut at |k| = 512
+    with pytest.raises(DomainError, match="misses"):
+        PeriodicFunction.from_callable(fn)
+
+
+def test_from_callable_fits_smooth_callables_between_the_nodes():
+    fn = lambda s: np.exp(np.cos(s)) / (2.0 + np.sin(3.0 * s))  # noqa: E731
+    s = np.linspace(-np.pi, np.pi, 1001)
+    miss = np.max(np.abs(PeriodicFunction.from_callable(fn)(s) - fn(s)))
+    assert miss <= 1e-12 * np.max(np.abs(fn(s)))
+
+
 def test_parity_split_reconstructs():
     h = PeriodicFunction.from_trig([1.0, 0.4, 0.1], [0.0, 0.3, -0.2])
     together = h.hat()(S_GRID) + h.check()(S_GRID)
@@ -190,29 +206,30 @@ def test_mixed_kind_arithmetic():
     assert total.breakpoints.size == 2
 
 
-def test_wave_and_levels_reads_constant_terms():
+def test_wave_and_arcs_reads_constant_terms():
     trig = PeriodicFunction.from_trig([0.5, 0.25], [0.0, 0.1])
     step = PeriodicFunction.step([-1.0, 1.0], [0.0, 2.0])
-    wave, levels = trig.wave_and_levels()
-    assert wave.coefficient(0) == 0 and wave.coefficient(1) == trig.trig.coefficient(1)
-    assert list(levels) == [0.5]
-    wave, levels = step.wave_and_levels()
-    assert wave.degree == 0 and list(levels) == [0.0, 2.0]
-    wave, levels = (trig + step).wave_and_levels()
-    assert np.array_equal(wave.c, trig.wave_and_levels()[0].c)
-    assert list(levels) == [0.5, 2.5]
-    assert (trig * step).wave_and_levels() is None
-    assert PeriodicFunction.from_callable(np.cos).wave_and_levels() is None
+    # no breakpoints: the one piece, constant term included, and no arcs
+    wave, arcs = trig.wave_and_arcs()
+    assert wave == tuple(trig.trig.c.tolist()) and wave[1] == 0.5 and arcs == ()
+    wave, arcs = step.wave_and_arcs()
+    assert wave == (0j,) and arcs == ((-1.0, 1.0, 2.0),)
+    wave, arcs = (trig + step).wave_and_arcs()
+    assert wave[1] == 0 and wave[2] == trig.trig.coefficient(1)
+    assert wave == tuple(np.where(np.arange(3) == 1, 0.0, trig.trig.c).tolist())
+    assert arcs == ((1.0, -1.0, 0.5), (-1.0, 1.0, 2.5))
+    assert (trig * step).wave_and_arcs() is None
+    # a callable is its trig fit, so it has a plan too
+    wave, arcs = PeriodicFunction.from_callable(np.cos).wave_and_arcs()
+    assert np.allclose(wave, (0.5, 0.0, 0.5), rtol=0.0, atol=1e-15) and arcs == ()
 
 
-def test_wave_and_arcs_is_wave_and_levels_as_floats():
+def test_wave_and_arcs_is_in_python_numbers():
     trig = PeriodicFunction.from_trig([0.5, 0.25], [0.0, 0.1])
     step = PeriodicFunction.step([-1.0, 1.0, 2.0], [0.0, 2.0, 3.0])
-    # no breakpoints: the one piece, constant term included, and no arcs
-    assert trig.wave_and_arcs() == (tuple(trig.trig.c.tolist()), ())
     wave, arcs = (trig + step).wave_and_arcs()
-    assert wave == tuple((trig + step).wave_and_levels()[0].c.tolist())
     assert all(type(c) is complex for c in wave)
+    assert all(type(x) is float for arc in arcs for x in arc)
     # the first piece's arc (2, -1] wraps
     assert arcs == ((2.0, -1.0, 0.5), (-1.0, 1.0, 2.5), (1.0, 2.0, 3.5))
     # a zero level has no arc; the plan is read once

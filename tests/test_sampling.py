@@ -73,6 +73,25 @@ def test_rejects_bad_inputs():
         sample_block(bad, 8, 1)
 
 
+@pytest.mark.parametrize("grid_size", [8, 16, 0])
+def test_rejects_aliasing_grid(grid_size):
+    # a block of N + 1 = 17 needs 17 grid nodes: on 8 or 16 the lag-8 or
+    # lag-16 covariance of uniform aliased to about -1 (it is 0), and an
+    # empty grid returned NaNs
+    F = presets.uniform()
+    with pytest.raises(DomainError, match="aliases"):
+        sample_block(F, 16, 1, grid_size=grid_size)
+    with pytest.raises(DomainError, match="aliases"):
+        sample_blocks(F, 16, 2000, seed=1, grid_size=grid_size)
+
+
+def test_smallest_unaliased_grid_resolves_every_lag():
+    blocks = sample_blocks(presets.uniform(), 16, 2000, seed=1, grid_size=17)
+    for k in (8, 16):
+        value, se = empirical_covariance(blocks, k)
+        assert abs(value) <= 5.0 * se
+
+
 def test_empirical_covariance_constant_block():
     blk = CoefficientBlock(values=np.ones(9, dtype=complex), seed=0,
                            F_label="ones", grid_size=0)

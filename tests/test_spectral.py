@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 from scipy.integrate import quad
 
 from gafzeros import presets
+from gafzeros.continuation import Arc, classify_arcs
 from gafzeros.errors import DomainError, NormalizationError
+from gafzeros.intensity import rho1, rho1_closed_form
 from gafzeros.periodic import PeriodicFunction, mean
 from gafzeros.spectral import (CovarianceSequence, SpectralMeasure, apply_T,
                                covariance, derivatives_at_zero, shift)
@@ -56,11 +59,25 @@ def test_rebuilt_preset_compares_and_hashes_equal(text):
     assert len({a, b}) == 1
 
 
-def test_callable_densities_compare_by_identity():
+def test_callable_densities_compare_by_data():
     fn = lambda s: np.exp(np.cos(s))  # noqa: E731
     a, b = PeriodicFunction.from_callable(fn), PeriodicFunction.from_callable(fn)
     assert a == b and hash(a) == hash(b)
-    assert a != PeriodicFunction.from_callable(lambda s: np.exp(np.cos(s)))
+    # a callable is its trig fit: another closure of the same function is equal
+    c = PeriodicFunction.from_callable(lambda s: np.exp(np.cos(s)))
+    assert a == c and hash(a) == hash(c)
+    assert a != PeriodicFunction.from_callable(lambda s: np.exp(0.5 * np.cos(s)))
+
+
+def test_callable_density_is_its_shift_and_mix():
+    mass = 2.0 * math.pi * np.i0(1.0)
+    F = SpectralMeasure(density=PeriodicFunction.from_callable(
+        lambda s: np.exp(np.cos(s)) * (1.0 + 0.3 * np.sin(2.0 * s)) / mass))
+    for G in (shift(F, 0.0), presets.mix((1.0, F))):
+        assert G.density == F.density and hash(G.density) == hash(F.density)
+        for z in (0.5, 0.9 * cmath.exp(2.2j), 0.999 * cmath.exp(-0.4j)):
+            assert rho1(G, z) == rho1(F, z) == rho1_closed_form(F, z)
+        assert classify_arcs(G) == classify_arcs(F) == [Arc(-math.pi, math.pi, "singular")]
 
 
 def test_covariance_uniform():
