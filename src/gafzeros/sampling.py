@@ -111,18 +111,22 @@ def _block_machine(F: SpectralMeasure, N: int, grid_size: int | None):
     return M, np.sqrt(w), phases
 
 
-def _draw_values(seed: int, sqrt_w: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    rng = np.random.default_rng(int(seed) & _MASK64)
-    g = rng.standard_normal((sqrt_w.size, 2))
-    zeta = (g[:, 0] + 1j * g[:, 1]) / math.sqrt(2.0)
-    return phases @ (sqrt_w * zeta)
+def _draws(seeds, sqrt_w: np.ndarray, phases: np.ndarray):
+    """phases @ (sqrt_w * zeta) per seed, zeta drawn into one reused buffer."""
+    buf = np.empty((sqrt_w.size, 2))
+    zeta = buf.view(complex)[:, 0]
+    for s in seeds:
+        np.random.default_rng(int(s) & _MASK64).standard_normal(out=buf)
+        zeta /= math.sqrt(2.0)
+        zeta *= sqrt_w
+        yield phases @ zeta
 
 
 def sample_block(F: SpectralMeasure, N: int, seed: int,
                  grid_size: int | None = None) -> CoefficientBlock:
     """Draw one coefficient block (xi_0, ..., xi_N)."""
     M, sqrt_w, phases = _block_machine(F, N, grid_size)
-    values = _draw_values(seed, sqrt_w, phases)
+    values = next(_draws([seed], sqrt_w, phases))
     return CoefficientBlock(values=values, seed=int(seed), F_label=F.label, grid_size=M)
 
 
@@ -131,15 +135,12 @@ def sample_blocks(F: SpectralMeasure, N: int, replicas: int, seed: int,
     """Independent replicas with SplitMix64-derived per-replica seeds.
 
     Bit-identical to calling :func:`sample_block` with each derived seed; the
-    node grid and phase matrix are shared across replicas for speed.
+    node grid, phase matrix and draw buffer are shared across replicas.
     """
     M, sqrt_w, phases = _block_machine(F, N, grid_size)
-    out = []
-    for i in range(int(replicas)):
-        rs = replica_seed(seed, i)
-        out.append(CoefficientBlock(values=_draw_values(rs, sqrt_w, phases),
-                                    seed=rs, F_label=F.label, grid_size=M))
-    return out
+    seeds = [replica_seed(seed, i) for i in range(int(replicas))]
+    return [CoefficientBlock(values=v, seed=rs, F_label=F.label, grid_size=M)
+            for rs, v in zip(seeds, _draws(seeds, sqrt_w, phases))]
 
 
 def empirical_covariance(blocks, k: int):

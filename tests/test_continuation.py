@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gafzeros import presets
-from gafzeros.continuation import (Arc, _log_weights, arc_radius_bound,
+from gafzeros.continuation import (Arc, _log_moments, _log_weights, arc_radius_bound,
                                    classify_arcs, continuation_report,
                                    log_variance_alpha, rho_local, variance_alpha)
 from gafzeros.errors import DomainError, TailWarning
@@ -117,6 +117,38 @@ def test_log_variance_unsorted_repeated_gapped_and_scalar_ks():
     one = log_variance_alpha(F, 0.7, 77)
     assert isinstance(one, float)
     assert one == pytest.approx(_log_variance_loop(F, 0.7, 77)[0], rel=1e-13)
+
+
+BLOCKED_SUM_PRESETS = [
+    # at r near 1 the atom's -log d passes 700/32, so B drops below 32
+    "uniform", "atoms:[(0,1)]",
+    "indicator:lo=-1.5707963267948966,hi=1.5707963267948966",
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(BLOCKED_SUM_PRESETS), st.floats(0.05, 1.0 - 1e-9),
+       st.lists(st.integers(0, 1500), min_size=1, max_size=600))
+@example("atoms:[(0,1)]", 1.0 - 1e-9, [700, 3, 3, 0, 15, 16, 17, 31, 100, 700, 1500, 1])
+@example("uniform", 0.999, [512, 40, 40, 0, 31, 32, 33, 300])
+def test_blocked_sum_matches_per_k_loop(text, r, orders):
+    # unsorted orders with repeats and gaps wider than a block
+    F = presets.parse_preset(text)
+    ks = np.array(orders)
+    got = _log_moments(*_log_weights(F, r, int(ks.max())), ks)
+    want = _log_variance_loop(F, r, ks)
+    assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+
+def test_log_variance_long_order_array_is_finite():
+    # 3125 blocks go through the bounded chunks of one product each
+    F = presets.parse_preset("mix:0.5*uniform+0.5*atoms:[(0,1)]")
+    ks = np.arange(10 ** 5)
+    got = log_variance_alpha(F, 0.7, ks)
+    assert got.shape == ks.shape and np.all(np.isfinite(got))
+    pick = np.array([0, 31, 32, 4095, 4096, 65535, 99999])
+    want = _log_variance_loop(F, 0.7, pick)
+    assert np.all(np.abs(got[pick] - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
 
 
 def test_log_variance_rejects_fractional_orders():
