@@ -255,7 +255,7 @@ class PeriodicFunction:
     hash by breakpoints, pieces and jet.
     """
 
-    __slots__ = ("breakpoints", "pieces", "_jet", "_arcs")
+    __slots__ = ("breakpoints", "pieces", "_jet", "_arcs", "_runs")
 
     def __init__(self, breakpoints, pieces, *, jet=None):
         self.breakpoints = np.asarray(breakpoints, dtype=float)
@@ -264,6 +264,7 @@ class PeriodicFunction:
             raise ValueError("need one piece per breakpoint interval")
         self._jet = None if jet is None else np.asarray(jet, dtype=float)
         self._arcs = False  # wave_and_arcs, once computed
+        self._runs = None  # support runs (continuation._support), once computed
 
     # -- constructors ------------------------------------------------------
     @classmethod

@@ -5,9 +5,14 @@ in a window of width ~(1-r) around its center, so a uniform grid dies as
 r -> 1.  Every operator therefore integrates on one rule, ``_kernel_nodes``:
 32-point Gauss-Legendre on panels with edges -pi, pi, the integrand's
 breakpoints, each kernel center c and c +- delta 2^j for every delta 2^j < 2 pi,
-delta = max((1-r)/floor, 1e-12) with floor 16 unless a caller grades deeper;
-all wrapped to (-pi, pi] and merged within 1e-13.  Direct quadrature is
-refused above r = 1 - 1e-6; past that only the boundary expansions are
+delta = max((1-r)/floor, 1e-12) with floor 16; all wrapped to (-pi, pi] and
+merged within 1e-13.  The variance integrals of :mod:`.continuation` take the
+same rule with ratio 8 in place of 2 (edges c +- delta 8^j), floor
+16 sqrt(k_max + 1), and centers at the local maxima of their integrand over
+the support, the point nearest direction 0 among them; their logs agree
+with a refined rule within 2.5e-14 max(1, |log var_k|) up to r = 1 - 1e-9
+(``continuation._log_weights``).  The operators here refuse direct
+quadrature above r = 1 - 1e-6; past that only the boundary expansions are
 meaningful.  The covariance kernel reads one such integral, the Herglotz
 transform Phi of the spectral measure (``herglotz``).
 """
@@ -90,16 +95,21 @@ def _check_radius(r: float) -> float:
     return r
 
 
-def graded_edges(r: float, breakpoints=(), centers=(0.0,), floor_scale=GRADING_FLOOR):
+def graded_edges(r: float, breakpoints=(), centers=(0.0,), floor_scale=GRADING_FLOOR,
+                 _ratio=2):
     """Panel edges on [-pi, pi], geometrically refined toward each center.
 
-    Edges: -pi, pi, the breakpoints, each center c and c +- delta 2^j for all
-    j >= 0 with delta 2^j < 2 pi, delta = max((1-r)/floor_scale, 1e-12), all
+    Edges: -pi, pi, the breakpoints, each center c and c +- delta q^j for all
+    j >= 0 with delta q^j < 2 pi, delta = max((1-r)/floor_scale, 1e-12), all
     wrapped to (-pi, pi]; sorted, an edge within 1e-13 of the last kept edge
-    is merged into it.
+    is merged into it.  The ratio q = ``_ratio`` is a power of two, so each
+    offset is exact (``np.ldexp``): 2 for the kernel rule, 8 for the variance
+    rule (``continuation._log_weights``, which states its checked accuracy).
     """
     delta = max((1.0 - r) / floor_scale, 1e-12)
-    steps = np.ldexp(delta, np.arange(64))  # delta >= 1e-12 passes 2 pi within 43 doublings
+    shift = _ratio.bit_length() - 1  # q = 2^shift
+    # delta >= 1e-12 passes 2 pi within 43 doublings
+    steps = np.ldexp(delta, np.arange(0, 64 * shift, shift))
     steps = steps[steps < TWOPI]
     c = np.atleast_1d(wrap_angle(centers))
     offsets = wrap_angle(np.concatenate([c[:, None] - steps, c[:, None] + steps]).ravel())
@@ -120,9 +130,9 @@ def graded_edges(r: float, breakpoints=(), centers=(0.0,), floor_scale=GRADING_F
     return edges
 
 
-def _kernel_nodes(r, breakpoints=(), centers=(0.0,), floor_scale=GRADING_FLOOR):
+def _kernel_nodes(r, breakpoints=(), centers=(0.0,), floor_scale=GRADING_FLOOR, _ratio=2):
     """The kernel rule: Gauss-Legendre nodes and weights on graded_edges."""
-    return panel_nodes(graded_edges(r, breakpoints, centers, floor_scale))
+    return panel_nodes(graded_edges(r, breakpoints, centers, floor_scale, _ratio))
 
 
 def P_op(h: PeriodicFunction, r: float) -> float:

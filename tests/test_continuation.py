@@ -156,6 +156,88 @@ def test_log_variance_rejects_fractional_orders():
         log_variance_alpha(presets.uniform(), 0.5, np.array([1.0, 2.5]))
 
 
+def _reference_log_weights(F, r):
+    """A refined variance rule, independent of the library's: 64-point
+    Gauss-Legendre on panels with ratio 2 and floor 8192, graded toward 0
+    and toward every breakpoint, so it needs no knowledge of the support."""
+    xs, ws = np.polynomial.legendre.leggauss(64)
+    logw = [np.log([m for _, m in F.atoms])]
+    logd = [np.log([(1 - r) ** 2 + 4 * r * math.sin(t / 2) ** 2 for t, _ in F.atoms])]
+    if F.density is not None:
+        breaks = wrap_angle(F.density.breakpoints)
+        centers = np.concatenate([[0.0], breaks])
+        steps = (1.0 - r) / 8192.0 * 2.0 ** np.arange(80)
+        steps = steps[steps < 2 * math.pi]
+        edges = np.unique(wrap_angle(np.concatenate(
+            [[-math.pi, math.pi], centers, np.add.outer(centers, steps).ravel(),
+             np.add.outer(centers, -steps).ravel()])))
+        edges = np.concatenate([[-math.pi], edges[edges > -math.pi]])
+        mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+        pts = (mid[:, None] + half[:, None] * xs).ravel()
+        vals = F.density(pts) * (half[:, None] * ws).ravel()
+        keep = vals > 0.0
+        logw.append(np.log(vals[keep]))
+        logd.append(np.log((1 - r) ** 2 + 4 * r * np.sin(pts[keep] / 2) ** 2))
+    return np.concatenate(logw), np.concatenate(logd)
+
+
+def _reference_log_variance(F, r, ks):
+    logw, logd = _reference_log_weights(F, r)
+    out = []
+    for k in ks:
+        a = logw - (k + 1.0) * logd
+        m = np.max(a)
+        out.append(m + math.log(np.sum(np.exp(a - m))))
+    return np.array(out)
+
+
+def _two_runs(breaks):
+    """Density 1 on (b0, b1] and (b2, b3], 0 elsewhere, normalized."""
+    dens = PeriodicFunction.step(breaks, [0.0, 1.0, 0.0, 1.0])
+    return SpectralMeasure(density=dens * (1.0 / (2 * math.pi * mean(dens))))
+
+
+VARIANCE_RULE_MEASURES = [
+    *[(t, lambda t=t: presets.parse_preset(t)) for t in CONTINUATION_PRESETS],
+    *[(t, lambda t=t: presets.parse_preset(t)) for t in [
+        "indicator:lo=1,hi=2", "indicator:lo=-3,hi=-0.2", "indicator:lo=2.5,hi=3",
+        "mix:0.5*indicator:lo=1,hi=2+0.5*atoms:[(2.5,1)]"]],
+    ("run through pi", lambda: shift(presets.indicator(-0.75, 0.75), math.pi)),
+    # run ends at equal or nearly equal distance from direction 0; graded
+    # toward the nearest end alone, the last two read 9e-7 and 7e-11 off
+    ("tied runs", lambda: _two_runs([-2.0, -1.0, 1.0, 2.0])),
+    ("nearly tied runs", lambda: _two_runs([-2.0, -1.01, 1.0, 2.0])),
+    ("runs either side of 0", lambda: _two_runs([-2.9, -0.15, 0.2, 2.0])),
+]
+
+_RULE_RADII = [0.05, 0.1, 0.3, 0.6, 0.9, 0.95, 0.99, 0.999, 1 - 1e-6, 1 - 1e-9]
+
+
+@pytest.mark.parametrize("build", [b for _, b in VARIANCE_RULE_MEASURES],
+                         ids=[t for t, _ in VARIANCE_RULE_MEASURES])
+def test_variance_rule_matches_refined_reference(build):
+    # the ratio-8 rule graded toward the support, against a rule that knows
+    # nothing of the support; the parent rule graded toward 0 only was
+    # 7.6e-4 off on indicator:lo=1,hi=2
+    F = build()
+    for k_max in (512, 2048):
+        ks = np.unique(np.concatenate(
+            [np.arange(8), np.geomspace(8, k_max, 24).astype(int), [k_max]]))
+        for r in _RULE_RADII:
+            got = log_variance_alpha(F, r, ks)
+            want = _reference_log_variance(F, r, ks)
+            err = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+            assert np.max(err) <= 1e-13, (r, k_max, int(ks[np.argmax(err)]), np.max(err))
+
+
+def test_variance_alpha_off_center_support_passes_depth_check():
+    # the parent rule raised PrecisionError here: its two depths missed the
+    # boundary layer at t = 1 differently (41.3367 vs 41.3364; exact 41.3680)
+    F = presets.parse_preset("indicator:lo=1,hi=2")
+    want = _reference_log_variance(F, 0.99, [512])[0]
+    assert math.log(variance_alpha(F, 0.99, 512)) == pytest.approx(want, rel=1e-13)
+
+
 def test_rho_local_atoms_exact():
     for r in (0.3, 0.6, 0.9):
         assert rho_local(presets.atoms([(math.pi, 1.0)]), r) == pytest.approx(
@@ -302,6 +384,28 @@ def test_classify_refuses_negative_density(dens):
         classify_arcs(SpectralMeasure(density=dens))
 
 
+def test_support_cache_is_not_shared_with_callers():
+    F = presets.parse_preset("mix:0.5*indicator:lo=-1,hi=1+0.5*atoms:[(2.5,1)]")
+    first = classify_arcs(F)
+    want = list(first)
+    first.clear()
+    first.append(Arc(0.0, 1.0, "regular"))
+    assert classify_arcs(F) == want
+    assert classify_arcs(F) is not classify_arcs(F)
+
+
+@pytest.mark.parametrize("dens", [PeriodicFunction.from_callable(np.cos),
+                                  PeriodicFunction.from_trig([0.1, 0.0, 0.2])])
+def test_negative_density_raises_on_every_call(dens):
+    # the support is cached once found; a refusal is not, so it repeats
+    F = SpectralMeasure(density=dens)
+    for _ in range(3):
+        with pytest.raises(DomainError, match="density is negative"):
+            classify_arcs(F)
+        with pytest.raises(DomainError, match="density is negative"):
+            log_variance_alpha(F, 0.5, 8)
+
+
 @pytest.mark.parametrize("dens", [PeriodicFunction.constant(0.0),
                                   PeriodicFunction.step([-1.0, 1.0], [0.0, 0.0])])
 def test_classify_refuses_massless_density(dens):
@@ -363,6 +467,21 @@ def test_continuation_report_json():
     assert reg["radius_bound"] == pytest.approx(
         math.sqrt(1 - 2 * 0.5 * math.cos(math.pi / 2) + 0.25))
     assert payload["rho_estimate"] == pytest.approx(0.5, abs=1e-3)
+
+
+def test_json_radius_bound_is_measured_from_the_arc_center():
+    r = 0.7
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TailWarning)
+        rep = continuation_report(presets.parse_preset("indicator:lo=1,hi=2"), r, k_max=128)
+    (reg,) = [a for a in json.loads(rep.to_json())["arcs"] if a["kind"] == "regular"]
+    point = complex(*reg["radius_bound_from"])
+    assert abs(point) == pytest.approx(r, rel=1e-15)
+    for end in (reg["lo"], reg["hi"]):
+        assert abs(complex(math.cos(end), math.sin(end)) - point) == pytest.approx(
+            reg["radius_bound"], rel=1e-12)
+    # not the distance from the real point r, which the report's rho estimates
+    assert abs(complex(math.cos(2.0), math.sin(2.0)) - r) < reg["radius_bound"] - 0.1
 
 
 def test_log_weights_refuse_massless_density():

@@ -203,7 +203,7 @@ def test_harmonic_extension_matches_offdiag_on_diagonal():
     assert abs(ko.imag) < 1e-12 * kd
 
 
-def _graded_edges_oracle(r, breakpoints=(), centers=(0.0,), floor_scale=16.0):
+def _graded_edges_oracle(r, breakpoints=(), centers=(0.0,), floor_scale=16.0, ratio=2.0):
     # reference rule: a set of wrapped edges, sorted, then a greedy merge
     delta = max((1.0 - r) / floor_scale, 1e-12)
     edges = {-math.pi, math.pi}
@@ -216,7 +216,7 @@ def _graded_edges_oracle(r, breakpoints=(), centers=(0.0,), floor_scale=16.0):
         while d < 2 * math.pi:
             for p in (c - d, c + d):
                 edges.add(float(wrap_angle(p)))
-            d *= 2.0
+            d *= ratio
     out = sorted(edges)
     merged = [out[0]]
     for p in out[1:]:
@@ -263,4 +263,16 @@ def test_graded_edges_match_set_and_loop_oracle(case):
     r, breaks, centers, floor = case
     got = graded_edges(r, breaks, centers, floor)
     want = _graded_edges_oracle(r, breaks, centers, floor)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rule_inputs())
+@example((0.6, [1.0, 2.0], [1.0], 16.0 * math.sqrt(513.0)))
+@example((1.0 - 1e-9, [], [0.0], 16.0 * math.sqrt(2049.0)))
+def test_graded_edges_ratio_8_match_oracle(case):
+    # the variance rule's panels: c +- delta 8^j, each offset exact
+    r, breaks, centers, floor = case
+    got = graded_edges(r, breaks, centers, floor, _ratio=8)
+    want = _graded_edges_oracle(r, breaks, centers, floor, ratio=8.0)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
