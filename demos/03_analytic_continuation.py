@@ -49,6 +49,8 @@ for label, F in [("uniform", presets.uniform()),
         span = f"[{arc.lo:+.4f}, {arc.hi:+.4f}]"
         if arc.kind == "regular":
             bound = arc_radius_bound(arc, R)
-            print(f"    regular  {span}  radius bound at r={R}: {bound:.4f}")
+            # measured from the point facing the arc's middle, not from r
+            print(f"    regular  {span}  radius bound at {R}*e^(i*{arc.center:+.4f}): "
+                  f"{bound:.4f}")
         else:
             print(f"    singular {span}")

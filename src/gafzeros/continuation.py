@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PrecisionError, TailWarning
-from .periodic import PI, TWOPI, one_minus_cos, wrap_angle
-from .poisson import _kernel_nodes
+from .periodic import PI, TWOPI, one_minus_cos, panel_nodes, wrap_angle
+from .poisson import graded_edges
 from .spectral import SpectralMeasure
 
 __all__ = [
@@ -58,7 +58,8 @@ def _log_weights(F: SpectralMeasure, r: float, k_max: int, ratio: int = _RATIO):
     if F.density is not None:
         dens = F.density
         floor = 16.0 * math.sqrt(k_max + 1.0)
-        pts, wts = _kernel_nodes(r, dens.breakpoints, _support(dens)[1], floor, _ratio=ratio)
+        pts, wts = panel_nodes(graded_edges(r, dens.breakpoints, _support(dens)[1], floor,
+                                            _ratio=ratio))
         vals = dens(pts) * wts
         keep = vals > 0.0
         parts_logw.append(np.log(vals[keep]))

@@ -264,7 +264,7 @@ class PeriodicFunction:
             raise ValueError("need one piece per breakpoint interval")
         self._jet = None if jet is None else np.asarray(jet, dtype=float)
         self._arcs = False  # wave_and_arcs, once computed
-        self._runs = None  # support runs (continuation._support), once computed
+        self._runs = None  # support runs and rule centers (continuation._support)
 
     # -- constructors ------------------------------------------------------
     @classmethod

@@ -130,9 +130,9 @@ def graded_edges(r: float, breakpoints=(), centers=(0.0,), floor_scale=GRADING_F
     return edges
 
 
-def _kernel_nodes(r, breakpoints=(), centers=(0.0,), floor_scale=GRADING_FLOOR, _ratio=2):
+def _kernel_nodes(r, breakpoints=(), centers=(0.0,), floor_scale=GRADING_FLOOR):
     """The kernel rule: Gauss-Legendre nodes and weights on graded_edges."""
-    return panel_nodes(graded_edges(r, breakpoints, centers, floor_scale, _ratio))
+    return panel_nodes(graded_edges(r, breakpoints, centers, floor_scale))
 
 
 def P_op(h: PeriodicFunction, r: float) -> float:
