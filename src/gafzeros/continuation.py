@@ -114,10 +114,9 @@ def log_variance_alpha(F: SpectralMeasure, r: float, k) -> np.ndarray:
     """log of the k-th derivative variance, vectorized over k (overflow-free).
 
     k may be an integer or an array of integers in any order, with repeats
-    and gaps.  All orders share one quadrature rule, the variance rule of
-    :func:`_log_weights` graded for the largest k, checked to
-    2.5e-14 max(1, |log var_k|).  The sorted orders are cut into blocks
-    lying within B of the block's first order k0.  The exponents logw_j - (k0 + 1) logd_j of all blocks form
+    and gaps.  All orders share one quadrature rule, graded for the largest
+    k.  The sorted orders are cut into blocks lying within B of the block's
+    first order k0.  The exponents logw_j - (k0 + 1) logd_j of all blocks form
     one matrix, each row shifted by its maximum, that takes a single exp and
     one matrix product with the power table P[i, j] = exp(-i logd_j), i < B
     (64 blocks per product at most).  P is built once per call from one exp
@@ -128,6 +127,9 @@ def log_variance_alpha(F: SpectralMeasure, r: float, k) -> np.ndarray:
     back into significance within its block.  Near r -> 1 with mass at
     direction 0, -logd reaches -2 log(1 - r) and B shrinks on its own
     (16 at r = 1 - 1e-9).
+
+    The rule is the variance rule of :func:`_log_weights`, checked there to
+    2.5e-14 max(1, |log var_k|) against a refined rule.
     """
     ks = np.asarray(k, dtype=float)
     logw, logd = _log_weights(F, r, int(ks.max()))

@@ -6,15 +6,14 @@ r -> 1.  Every operator therefore integrates on one rule, ``_kernel_nodes``:
 32-point Gauss-Legendre on panels with edges -pi, pi, the integrand's
 breakpoints, each kernel center c and c +- delta 2^j for every delta 2^j < 2 pi,
 delta = max((1-r)/floor, 1e-12) with floor 16; all wrapped to (-pi, pi] and
-merged within 1e-13.  The variance integrals of :mod:`.continuation` take the
-same rule with ratio 8 in place of 2 (edges c +- delta 8^j), floor
-16 sqrt(k_max + 1), and centers at the local maxima of their integrand over
-the support, the point nearest direction 0 among them; their logs agree
-with a refined rule within 2.5e-14 max(1, |log var_k|) up to r = 1 - 1e-9
-(``continuation._log_weights``).  The operators here refuse direct
-quadrature above r = 1 - 1e-6; past that only the boundary expansions are
-meaningful.  The covariance kernel reads one such integral, the Herglotz
-transform Phi of the spectral measure (``herglotz``).
+merged within 1e-13.  The variance integrals of :mod:`.continuation` grade
+the same way with ratio 8 (c +- delta 8^j), floor 16 sqrt(k_max + 1), toward
+the local maxima of their integrand over the support; their logs are checked
+to 2.5e-14 max(1, |log var_k|) up to r = 1 - 1e-9 (``_log_weights`` there).
+The operators here refuse direct quadrature above r = 1 - 1e-6; past that
+only the boundary expansions are meaningful.  The covariance kernel reads one
+such integral, the Herglotz transform Phi of the spectral measure
+(``herglotz``).
 """
 
 from __future__ import annotations
