@@ -75,63 +75,72 @@ def _log_weights(F: SpectralMeasure, r: float, k_max: int, ratio: int = _RATIO):
 #: blocks per matrix product: bounds the exponent matrix for any number of orders
 _BLOCKS_PER_PRODUCT = 64
 
+#: shifted exponents below this are dropped, so no term is subnormal
+_EXP_FLUSH = -663.0
+
+
+def _power_table(gain, rows):
+    """P[i, j] = exp(i gain_j) for i < rows, by doubling: P[h:2h] = P[:h] P[h]."""
+    table = np.ones((rows, gain.size))
+    step = np.exp(gain)
+    h = 1
+    while h < rows:
+        np.multiply(table[:min(h, rows - h)], table[h - 1] * step, out=table[h:2 * h])
+        h *= 2
+    return table
+
 
 def _log_moments(logw, logd, ks):
-    """log sum_j exp(logw_j - (k+1) logd_j) for every integer k in ``ks``,
-    blocked as :func:`log_variance_alpha` describes."""
+    """log sum_j exp(logw_j - (k+1) logd_j) for every nonnegative integer k
+    in ``ks``, blocked as :func:`log_variance_alpha` describes."""
     ks = np.asarray(ks, dtype=float)
-    flat = ks.ravel()
-    if not np.all(flat == np.round(flat)):
-        raise DomainError("derivative orders k must be integers")
-    order = np.argsort(flat)
-    sk = flat[order]
     gain = -logd
     reach = float(np.max(gain)) - min(float(np.min(gain)), 0.0)
-    block = 32 if 32.0 * reach <= 700.0 else max(1, int(700.0 / reach))
-    table = np.ones((min(block, int(sk[-1] - sk[0]) + 1), gain.size))
-    step = np.exp(gain)
-    for i in range(1, len(table)):
-        np.multiply(table[i - 1], step, out=table[i])
-    sorted_ks = sk.tolist()
-    starts = [0]  # block starts, closed by the sentinel sk.size
-    while starts[-1] < sk.size:
-        starts.append(bisect_left(sorted_ks, sorted_ks[starts[-1]] + block, starts[-1]))
-    out = np.empty_like(flat)
-    for c in range(0, len(starts) - 1, _BLOCKS_PER_PRODUCT):
-        cut = starts[c:c + _BLOCKS_PER_PRODUCT + 1]
-        k0 = sk[cut[:-1]]
-        a = logw + np.multiply.outer(k0 + 1.0, gain)
+    block = 32 if 32.0 * reach <= 618.0 else max(1, int(618.0 / reach))
+    lo = int(ks.min())
+    span = int(ks.max()) - lo + 1
+    table = _power_table(gain, min(block, span))
+    k0 = np.arange(lo, lo + span, block, dtype=float)
+    out = np.empty((k0.size, len(table)))
+    for c in range(0, k0.size, _BLOCKS_PER_PRODUCT):
+        a = logw + np.multiply.outer(k0[c:c + _BLOCKS_PER_PRODUCT] + 1.0, gain)
         m = np.max(a, axis=1)
         a -= m[:, None]
-        sums = np.exp(a, out=a) @ table.T
-        b = np.repeat(np.arange(k0.size), np.diff(cut))
-        rows = (sk[cut[0]:cut[-1]] - k0[b]).astype(int)
-        out[order[cut[0]:cut[-1]]] = m[b] + np.log(sums[b, rows])
-    return out.reshape(ks.shape)
+        np.copyto(a, -np.inf, where=a < _EXP_FLUSH)
+        np.log(np.exp(a, out=a) @ table.T, out=out[c:c + _BLOCKS_PER_PRODUCT])
+        out[c:c + _BLOCKS_PER_PRODUCT] += m[:, None]
+    return out.ravel()[(ks - lo).astype(int)]
 
 
 def log_variance_alpha(F: SpectralMeasure, r: float, k) -> np.ndarray:
     """log of the k-th derivative variance, vectorized over k (overflow-free).
 
-    k may be an integer or an array of integers in any order, with repeats
-    and gaps.  All orders share one quadrature rule, graded for the largest
-    k.  The sorted orders are cut into blocks lying within B of the block's
-    first order k0.  The exponents logw_j - (k0 + 1) logd_j of all blocks form
-    one matrix, each row shifted by its maximum, that takes a single exp and
+    k may be a nonnegative integer or an array of them in any order, with
+    repeats and gaps; anything else raises DomainError before any
+    quadrature.  All orders share one quadrature rule, graded for the
+    largest k.  One pass evaluates every order from min k to max k, in
+    blocks of B orders starting at k0 = min k, min k + B, ...: the cost grows
+    with that span, not with the number of orders, and a scalar k costs one
+    block of one order.  The exponents logw_j - (k0 + 1) logd_j of the block
+    starts k0 form one matrix, each row shifted by its maximum; shifted
+    exponents below -663 are dropped, then the matrix takes a single exp and
     one matrix product with the power table P[i, j] = exp(-i logd_j), i < B
-    (64 blocks per product at most).  P is built once per call from one exp
-    and one product per row, so P[i] carries at most 2i - 1 roundings of
-    2^-53: below 7e-15 relative.  B is at most 32 and satisfies
-    B * (max_j(-logd_j) + max(0, max_j logd_j)) <= 700, so no table entry or
-    block sum can overflow, and a term that underflowed at k0 cannot grow
-    back into significance within its block.  Near r -> 1 with mass at
-    direction 0, -logd reaches -2 log(1 - r) and B shrinks on its own
-    (16 at r = 1 - 1e-9).
+    (64 blocks per product at most).  P is built by doubling from one exp,
+    P[h:2h] = P[:h] P[h], so P[i] carries at most 2i - 1 roundings of 2^-53:
+    below 7e-15 relative.  B is at most 32 and satisfies
+    B * (max_j(-logd_j) + max(0, max_j logd_j)) <= 618.  No table entry or
+    block sum can overflow; with d <= 4 every table entry is at least
+    e^-44.4, so no exp result, table product or block sum is subnormal; and
+    a dropped term stays below e^-45 of its block sum.  Near r -> 1 with
+    mass at direction 0, -logd reaches -2 log(1 - r) and B shrinks on its
+    own (14 at r = 1 - 1e-9).
 
     The rule is the variance rule of :func:`_log_weights`, checked there to
     2.5e-14 max(1, |log var_k|) against a refined rule.
     """
     ks = np.asarray(k, dtype=float)
+    if not np.all(ks == np.round(ks)) or ks.min() < 0.0:
+        raise DomainError("derivative orders k must be nonnegative integers")
     logw, logd = _log_weights(F, r, int(ks.max()))
     out = _log_moments(logw, logd, ks)
     return out if np.ndim(k) else float(out)
@@ -245,10 +254,10 @@ def _support(dens):
     Runs are the sorted merged (lo, hi) of the pieces whose coefficients are
     not all zero (piece i + 1 covers (b[i], b[i + 1]]); a run through pi
     ends past pi.  A nonzero trig polynomial vanishes at isolated points
-    only, so one such piece is full support once it is seen to be
-    nonnegative: without evaluation when c_0 >= sum_{k != 0} |c_k|, else at
-    ``_SIGN_POINTS`` midpoints, where a value below -_ZERO_TOL raises
-    DomainError.
+    only, so such a piece is support over its whole interval once it is
+    seen to be nonnegative there: without evaluation when
+    c_0 >= sum_{k != 0} |c_k|, else at ``_SIGN_POINTS`` midpoints of its
+    interval, where a value below -_ZERO_TOL raises DomainError.
 
     Centers are the local maxima over the closed support of the high-k
     integrand d(t)^-(k+1), d = 1 - 2r cos t + r^2.  d grows with |t|, so
@@ -258,12 +267,6 @@ def _support(dens):
     density gets (0.0,)."""
     if dens._runs is not None:
         return dens._runs
-    if not dens.breakpoints.size:
-        p = dens.pieces[0][0]
-        if 2.0 * p.c[p.degree].real < np.abs(p.c).sum():  # c_0 < sum_{k != 0} |c_k|
-            probe = -PI + TWOPI * (np.arange(_SIGN_POINTS) + 0.5) / _SIGN_POINTS
-            if np.min(dens(probe)) < -_ZERO_TOL:
-                raise DomainError("density is negative")
     breaks = list(dens.breakpoints) or [-PI]
     n = len(breaks)
     live = [np.max(np.abs(p.c)) > _ZERO_TOL for p, _ in dens.pieces]
@@ -271,6 +274,11 @@ def _support(dens):
     for i, (lo, hi) in enumerate(zip(breaks, breaks[1:] + [breaks[0] + TWOPI])):
         if not live[(i + 1) % n]:
             continue
+        p = dens.pieces[(i + 1) % n][0]  # the numerator carries the sign
+        if 2.0 * p.c[p.degree].real < np.abs(p.c).sum():  # c_0 < sum_{k != 0} |c_k|
+            probe = lo + (hi - lo) * (np.arange(_SIGN_POINTS) + 0.5) / _SIGN_POINTS
+            if np.min(p(probe)) < -_ZERO_TOL:
+                raise DomainError("density is negative")
         if runs and runs[-1][1] == lo:
             runs[-1] = (runs[-1][0], hi)
         else:

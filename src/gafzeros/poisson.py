@@ -19,13 +19,15 @@ such integral, the Herglotz transform Phi of the spectral measure
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, PrecisionError
-from .periodic import PI, TWOPI, PeriodicFunction, one_minus_cos, panel_nodes, wrap_angle
+from .periodic import (PI, TWOPI, PeriodicFunction, one_minus_cos, panel_nodes, wrap_angle,
+                       wrap_scalar)
 from .spectral import SpectralMeasure
 
 __all__ = [
@@ -102,31 +104,32 @@ def graded_edges(r: float, breakpoints=(), centers=(0.0,), floor_scale=GRADING_F
     j >= 0 with delta q^j < 2 pi, delta = max((1-r)/floor_scale, 1e-12), all
     wrapped to (-pi, pi]; sorted, an edge within 1e-13 of the last kept edge
     is merged into it.  The ratio q = ``_ratio`` is a power of two, so each
-    offset is exact (``np.ldexp``): 2 for the kernel rule, 8 for the variance
-    rule (``continuation._log_weights``, which states its checked accuracy).
+    offset is exact (``math.ldexp``): 2 for the kernel rule, 8 for the
+    variance rule (``continuation._log_weights``, which states its checked
+    accuracy).  The edges are formed in plain floats, bit for bit as
+    ``wrap_angle`` would give them, and returned as one array.
     """
     delta = max((1.0 - r) / floor_scale, 1e-12)
     shift = _ratio.bit_length() - 1  # q = 2^shift
-    # delta >= 1e-12 passes 2 pi within 43 doublings
-    steps = np.ldexp(delta, np.arange(0, 64 * shift, shift))
-    steps = steps[steps < TWOPI]
-    c = np.atleast_1d(wrap_angle(centers))
-    offsets = wrap_angle(np.concatenate([c[:, None] - steps, c[:, None] + steps]).ravel())
-    edges = np.sort(np.concatenate(
-        [[-PI, PI], np.atleast_1d(wrap_angle(breakpoints)), c, offsets]))
-    gaps = np.diff(edges)
-    if np.any((gaps > 0.0) & (gaps <= 1e-13)):
-        # rare: a merge chain, decided against the last kept edge
-        merged = [edges[0]]
-        for p in edges[1:]:
-            if p - merged[-1] > 1e-13:
-                merged.append(p)
-        edges = np.array(merged)
-    else:
-        edges = edges[np.concatenate(([True], gaps != 0.0))]
+    steps, step = [], delta
+    while step < TWOPI:
+        steps.append(step)
+        step = math.ldexp(step, shift)
+    # + 0.0 turns a -0.0 into the 0.0 that wrap_angle gives
+    cs = [wrap_scalar(float(c)) + 0.0 for c in centers]
+    edges = [-PI, PI, *cs, *(wrap_scalar(float(b)) + 0.0 for b in breakpoints)]
+    for c in cs:
+        for step in steps:
+            edges.append(wrap_scalar(c - step) + 0.0)
+            edges.append(wrap_scalar(c + step) + 0.0)
+    edges.sort()
+    merged = [edges[0]]
+    for p in edges[1:]:
+        if p - merged[-1] > 1e-13:
+            merged.append(p)
     # -pi is the least edge and pi lies within 1e-13 of the greatest kept one
-    edges[0], edges[-1] = -PI, PI
-    return edges
+    merged[-1] = PI
+    return np.array(merged)
 
 
 def _kernel_nodes(r, breakpoints=(), centers=(0.0,), floor_scale=GRADING_FLOOR):

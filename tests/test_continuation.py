@@ -8,8 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gafzeros import presets
-from gafzeros.continuation import (Arc, _log_moments, _log_weights, arc_radius_bound,
-                                   classify_arcs, continuation_report,
+from gafzeros import continuation
+from gafzeros.continuation import (Arc, _log_moments, _log_weights, _power_table,
+                                   arc_radius_bound, classify_arcs, continuation_report,
                                    log_variance_alpha, rho_local, variance_alpha)
 from gafzeros.errors import DomainError, TailWarning
 from gafzeros.intensity import rho1
@@ -120,7 +121,7 @@ def test_log_variance_unsorted_repeated_gapped_and_scalar_ks():
 
 
 BLOCKED_SUM_PRESETS = [
-    # at r near 1 the atom's -log d passes 700/32, so B drops below 32
+    # at r near 1 the atom's -log d passes 618/32, so B drops below 32
     "uniform", "atoms:[(0,1)]",
     "indicator:lo=-1.5707963267948966,hi=1.5707963267948966",
 ]
@@ -154,6 +155,41 @@ def test_log_variance_long_order_array_is_finite():
 def test_log_variance_rejects_fractional_orders():
     with pytest.raises(DomainError):
         log_variance_alpha(presets.uniform(), 0.5, np.array([1.0, 2.5]))
+
+
+@pytest.mark.parametrize("text, k", [
+    # the parent answered, returned 0.0, raised ZeroDivisionError, ValueError
+    ("uniform", [-3, 2]), ("atoms:[(0,1)]", -1), ("uniform", -1), ("uniform", -2)])
+def test_log_variance_rejects_negative_orders_before_quadrature(text, k, monkeypatch):
+    F = presets.parse_preset(text)
+
+    def no_rule(*args, **kwargs):
+        raise AssertionError("the rule was built")
+
+    monkeypatch.setattr(continuation, "_log_weights", no_rule)
+    with pytest.raises(DomainError, match="nonnegative integers"):
+        log_variance_alpha(F, 0.5, k)
+
+
+@pytest.mark.parametrize("text", CONTINUATION_PRESETS)
+def test_log_variance_makes_no_subnormals(text):
+    # the shifted exponents below -663 are dropped, so exp, the table
+    # product and the block sums stay normal
+    F = presets.parse_preset(text)
+    for r in (0.1, 0.3, 0.6, 0.9, 0.95, 0.999, 1.0 - 1e-6, 1.0 - 1e-9):
+        with np.errstate(under="raise"):
+            lv = log_variance_alpha(F, r, np.arange(513))
+        assert np.all(np.isfinite(lv))
+
+
+def test_power_table_matches_long_double_exp():
+    rng = np.random.default_rng(3)
+    gain = np.concatenate([np.linspace(-1.4, 21.0, 4001), rng.uniform(-1.4, 21.0, 4000)])
+    table = _power_table(gain, 32)
+    want = np.exp(np.arange(32, dtype=np.longdouble)[:, None] * gain.astype(np.longdouble))
+    assert np.max(np.abs((table - want) / want)) <= 7e-15
+    # fewer rows are the same rows
+    assert _power_table(gain, 21).tobytes() == table[:21].tobytes()
 
 
 def _reference_log_weights(F, r):
@@ -394,7 +430,9 @@ def test_support_cache_is_not_shared_with_callers():
 
 
 @pytest.mark.parametrize("dens", [PeriodicFunction.from_callable(np.cos),
-                                  PeriodicFunction.from_trig([0.1, 0.0, 0.2])])
+                                  PeriodicFunction.from_trig([0.1, 0.0, 0.2]),
+                                  # a negative level between breakpoints
+                                  PeriodicFunction.step([-1.0, 1.0], [1.0, -0.5])])
 def test_negative_density_raises_on_every_call(dens):
     # the support is cached once found; a refusal is not, so it repeats
     F = SpectralMeasure(density=dens)
@@ -403,6 +441,8 @@ def test_negative_density_raises_on_every_call(dens):
             classify_arcs(F)
         with pytest.raises(DomainError, match="density is negative"):
             log_variance_alpha(F, 0.5, 8)
+        with pytest.raises(DomainError, match="density is negative"):
+            continuation_report(F, 0.5)
 
 
 @pytest.mark.parametrize("dens", [PeriodicFunction.constant(0.0),
