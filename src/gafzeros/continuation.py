@@ -74,7 +74,6 @@ def _log_weights(F: SpectralMeasure, r: float, k_max: int, ratio: int = _RATIO):
 
 #: blocks per matrix product: bounds the exponent matrix for any number of orders
 _BLOCKS_PER_PRODUCT = 64
-
 #: shifted exponents below this are dropped, so no term is subnormal
 _EXP_FLUSH = -663.0
 
@@ -99,8 +98,14 @@ def _log_moments(logw, logd, ks):
     block = 32 if 32.0 * reach <= 618.0 else max(1, int(618.0 / reach))
     lo = int(ks.min())
     span = int(ks.max()) - lo + 1
+    at = (ks - lo).astype(int)  # each order's place in the flat output
+    blocks = np.arange(-(-span // block))
+    if blocks.size > max(ks.size, _BLOCKS_PER_PRODUCT):
+        # fewer orders than blocks in the span: only the blocks that hold one
+        blocks, rank = np.unique(at // block, return_inverse=True)
+        at = rank * block + at % block
     table = _power_table(gain, min(block, span))
-    k0 = np.arange(lo, lo + span, block, dtype=float)
+    k0 = lo + block * blocks.astype(float)
     out = np.empty((k0.size, len(table)))
     for c in range(0, k0.size, _BLOCKS_PER_PRODUCT):
         a = logw + np.multiply.outer(k0[c:c + _BLOCKS_PER_PRODUCT] + 1.0, gain)
@@ -109,7 +114,7 @@ def _log_moments(logw, logd, ks):
         np.copyto(a, -np.inf, where=a < _EXP_FLUSH)
         np.log(np.exp(a, out=a) @ table.T, out=out[c:c + _BLOCKS_PER_PRODUCT])
         out[c:c + _BLOCKS_PER_PRODUCT] += m[:, None]
-    return out.ravel()[(ks - lo).astype(int)]
+    return out.ravel()[at]
 
 
 def log_variance_alpha(F: SpectralMeasure, r: float, k) -> np.ndarray:
@@ -118,22 +123,22 @@ def log_variance_alpha(F: SpectralMeasure, r: float, k) -> np.ndarray:
     k may be a nonnegative integer or an array of them in any order, with
     repeats and gaps; anything else raises DomainError before any
     quadrature.  All orders share one quadrature rule, graded for the
-    largest k.  One pass evaluates every order from min k to max k, in
-    blocks of B orders starting at k0 = min k, min k + B, ...: the cost grows
-    with that span, not with the number of orders, and a scalar k costs one
-    block of one order.  The exponents logw_j - (k0 + 1) logd_j of the block
-    starts k0 form one matrix, each row shifted by its maximum; shifted
-    exponents below -663 are dropped, then the matrix takes a single exp and
-    one matrix product with the power table P[i, j] = exp(-i logd_j), i < B
-    (64 blocks per product at most).  P is built by doubling from one exp,
-    P[h:2h] = P[:h] P[h], so P[i] carries at most 2i - 1 roundings of 2^-53:
-    below 7e-15 relative.  B is at most 32 and satisfies
-    B * (max_j(-logd_j) + max(0, max_j logd_j)) <= 618.  No table entry or
-    block sum can overflow; with d <= 4 every table entry is at least
-    e^-44.4, so no exp result, table product or block sum is subnormal; and
-    a dropped term stays below e^-45 of its block sum.  Near r -> 1 with
-    mass at direction 0, -logd reaches -2 log(1 - r) and B shrinks on its
-    own (14 at r = 1 - 1e-9).
+    largest k.  The span min k .. max k is cut into blocks of B orders that
+    start at k0 = min k, min k + B, ...; one pass evaluates every block, or
+    only those holding an order when they are fewer (and over 64 blocks).
+    A scalar k costs one block of one order.  The exponents
+    logw_j - (k0 + 1) logd_j form one matrix, each row shifted by its
+    maximum; shifted exponents below -663 are dropped, then the matrix takes
+    a single exp and one matrix product with the power table
+    P[i, j] = exp(-i logd_j), i < B (64 blocks per product at most).  P is
+    built by doubling from one exp, P[h:2h] = P[:h] P[h], so P[i] carries at
+    most 2i - 1 roundings of 2^-53: below 7e-15 relative.  B is at most 32
+    and satisfies B * (max_j(-logd_j) + max(0, max_j logd_j)) <= 618.  No
+    table entry or block sum can overflow; with d <= 4 every table entry is
+    at least e^-44.4, so no exp result, table product or block sum is
+    subnormal; and a dropped term stays below e^-45 of its block sum.  Near
+    r -> 1 with mass at direction 0, -logd reaches -2 log(1 - r) and B
+    shrinks on its own (14 at r = 1 - 1e-9).
 
     The rule is the variance rule of :func:`_log_weights`, checked there to
     2.5e-14 max(1, |log var_k|) against a refined rule.

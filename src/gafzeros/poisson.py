@@ -106,8 +106,7 @@ def graded_edges(r: float, breakpoints=(), centers=(0.0,), floor_scale=GRADING_F
     is merged into it.  The ratio q = ``_ratio`` is a power of two, so each
     offset is exact (``math.ldexp``): 2 for the kernel rule, 8 for the
     variance rule (``continuation._log_weights``, which states its checked
-    accuracy).  The edges are formed in plain floats, bit for bit as
-    ``wrap_angle`` would give them, and returned as one array.
+    accuracy).  Edges are plain floats, bit for bit those of ``wrap_angle``.
     """
     delta = max((1.0 - r) / floor_scale, 1e-12)
     shift = _ratio.bit_length() - 1  # q = 2^shift

@@ -132,6 +132,9 @@ BLOCKED_SUM_PRESETS = [
        st.lists(st.integers(0, 1500), min_size=1, max_size=600))
 @example("atoms:[(0,1)]", 1.0 - 1e-9, [700, 3, 3, 0, 15, 16, 17, 31, 100, 700, 1500, 1])
 @example("uniform", 0.999, [512, 40, 40, 0, 31, 32, 33, 300])
+# fewer orders than blocks in their span: only the blocks that hold one
+@example("uniform", 0.7, [0, 3000, 1, 2999, 2500, 3000])
+@example("atoms:[(0,1)]", 1.0 - 1e-9, [5000, 3, 0, 1500, 14, 13])
 def test_blocked_sum_matches_per_k_loop(text, r, orders):
     # unsorted orders with repeats and gaps wider than a block
     F = presets.parse_preset(text)
