@@ -161,7 +161,7 @@ def test_log_variance_rejects_fractional_orders():
 
 
 @pytest.mark.parametrize("text, k", [
-    # the parent answered, returned 0.0, raised ZeroDivisionError, ValueError
+    # one negative order among others, and alone, with and without a density
     ("uniform", [-3, 2]), ("atoms:[(0,1)]", -1), ("uniform", -1), ("uniform", -2)])
 def test_log_variance_rejects_negative_orders_before_quadrature(text, k, monkeypatch):
     F = presets.parse_preset(text)
@@ -185,6 +185,8 @@ def test_log_variance_makes_no_subnormals(text):
         assert np.all(np.isfinite(lv))
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="the reference needs a long double wider than double")
 def test_power_table_matches_long_double_exp():
     rng = np.random.default_rng(3)
     gain = np.concatenate([np.linspace(-1.4, 21.0, 4001), rng.uniform(-1.4, 21.0, 4000)])
