@@ -29,8 +29,7 @@ from .presets import (atoms, indicator, ma1, mix, parse_preset,
                       random_trig_density, uniform)
 from .sampling import (CoefficientBlock, empirical_covariance, radius_check,
                        replica_seed, sample_block, sample_blocks)
-from .spectral import (CovarianceSequence, SpectralMeasure, apply_T, covariance,
-                       derivatives_at_zero, mean, shift)
+from .spectral import CovarianceSequence, SpectralMeasure, covariance, mean, shift
 from .zeros import (ZeroSet, annulus, companion_roots, count_region, disk,
                     find_roots, sector)
 

@@ -15,7 +15,7 @@ from .asymptotics import rho1_boundary
 from .continuation import arc_radius_bound, continuation_report
 from .errors import GafError, PrecisionError
 from .experiments import ExperimentConfig, emit_profile, profile_csv, run_experiment
-from .intensity import rho1
+from .intensity import ROUTES, rho1
 from .poisson import KernelPoint
 
 EXIT_OK = 0
@@ -114,9 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--phi", type=float, default=0.0)
     d.add_argument("--z", default="", help="complex point, e.g. '0.3+0.4j' "
                    "(alternative to --r/--phi)")
-    d.add_argument("--method", default="auto",
-                   choices=["auto", "closed_form", "spectral", "spectral_double",
-                            "qform", "q_form", "ek", "ek_numeric"])
+    d.add_argument("--method", default="auto", choices=["auto", *ROUTES])
     d.set_defaults(func=cmd_density)
 
     a = sub.add_parser("asymptote", help="boundary expansion in one direction")

@@ -226,12 +226,16 @@ def emit_profile(profile: RadialProfile, path, fmt: str = "csv") -> None:
 
 
 def load_profile(path, fmt: str = "csv") -> RadialProfile:
-    """Inverse of :func:`emit_profile` (metadata columns must be consistent)."""
+    """Inverse of :func:`emit_profile` (metadata columns must be consistent);
+    CSV has no ``F_label`` or ``truncation_caveat`` column, so they read empty."""
+    meta = {}
     with open(path, "r", encoding="utf-8") as fh:
         if fmt == "csv":
             rows = list(csv.DictReader(fh))
         elif fmt == "json":
-            rows = json.load(fh)["rows"]
+            payload = json.load(fh)
+            rows = payload["rows"]
+            meta = {key: payload.get(key, "") for key in ("F_label", "truncation_caveat")}
         else:
             raise DomainError(f"unsupported format {fmt!r}")
     if not rows:
@@ -239,7 +243,7 @@ def load_profile(path, fmt: str = "csv") -> RadialProfile:
                              empirical_mean=np.zeros((0, 0)),
                              empirical_se=np.zeros((0, 0)),
                              analytic=np.zeros((0, 0)),
-                             replicas=0, N=0, seed=0)
+                             replicas=0, N=0, seed=0, **meta)
     r_los = sorted({float(row["r_lo"]) for row in rows})
     phi_los = sorted({float(row["phi_lo"]) for row in rows})
     r_edges = np.array(r_los + [max(float(row["r_hi"]) for row in rows)])
@@ -258,4 +262,4 @@ def load_profile(path, fmt: str = "csv") -> RadialProfile:
     return RadialProfile(r_edges=r_edges, phi_edges=phi_edges,
                          empirical_mean=mean, empirical_se=se, analytic=analytic,
                          replicas=int(first["replicas"]), N=int(first["N"]),
-                         seed=int(first["seed"]))
+                         seed=int(first["seed"]), **meta)

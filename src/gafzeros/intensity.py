@@ -27,7 +27,7 @@ from .poisson import KernelPoint, _check_radius, _kernel_nodes, herglotz, poisso
 from .spectral import SpectralMeasure
 
 __all__ = [
-    "rho1", "rho1_closed_form", "rho1_spectral", "rho1_qform", "rho1_ek_numeric",
+    "ROUTES", "rho1", "rho1_closed_form", "rho1_spectral", "rho1_qform", "rho1_ek_numeric",
     "sr_value", "sr_positive_form",
 ]
 
@@ -36,26 +36,6 @@ _DENOM_FLOOR = 1e-150
 _GRAM_ROUNDING = 1e-13
 #: relative accuracy of |Phi'| / Re Phi taken by the Edelman-Kostlan route
 _EK_EPS = 1e-10
-
-
-def rho1(F: SpectralMeasure, z: complex, method: str = "auto") -> float:
-    """Dispatch a zero-density query to the chosen route.
-
-    ``auto`` picks the closed form where it applies, else the quadratic form
-    for an absolutely continuous measure and the double integral otherwise.
-    """
-    if method == "auto":
-        closed = F.density is None or F.density.wave_and_arcs() is not None
-        method = "closed_form" if closed else "spectral_double" if F.atoms else "q_form"
-    if method == "closed_form":
-        return rho1_closed_form(F, z)
-    if method in ("spectral_double", "spectral"):
-        return rho1_spectral(F, z)
-    if method in ("q_form", "qform"):
-        return rho1_qform(F, z)
-    if method in ("ek_numeric", "ek"):
-        return rho1_ek_numeric(F, z)
-    raise DomainError(f"unknown intensity method {method!r}")
 
 
 def _with_atoms(moments, atoms, r: float, phi: float, y: float):
@@ -206,7 +186,9 @@ def rho1_spectral(F: SpectralMeasure, z: complex) -> float:
 
     The double integral of {1 - cos(t-s)} against the squared kernels
     factorizes into single moments, reducing O(M^2) to O(M) and keeping atom
-    contributions exact.
+    contributions exact.  Where the density vanishes to second order at the
+    kernel center, sums of O(1/y) terms cancel to O(y): 5.8e-9 relative off at
+    ``ma1:a=0.5``, phi = pi, r = 1 - 10^-4.5 (``rho1_closed_form``: 1.5e-12).
     """
     F.validate_normalized()
     pt = KernelPoint.from_z(z)
@@ -242,7 +224,9 @@ def _qform_parts(f_phi: PeriodicFunction, r: float):
 
 
 def rho1_qform(F: SpectralMeasure, z: complex) -> float:
-    """Zero density at z via kernel averages of the symmetrized density slice."""
+    """Zero density at z via kernel averages of the symmetrized density slice.  Where
+    the density vanishes to second order at the kernel center they cancel from O(1/y)
+    to O(y): 8.0e-9 relative off at ``ma1:a=0.5``, phi = pi, r = 1 - 10^-4.5."""
     if F.atoms:
         raise MethodUnavailable("q_form requires an absolutely continuous measure")
     if F.density is None:
@@ -267,6 +251,30 @@ def rho1_ek_numeric(F: SpectralMeasure, z: complex) -> float:
         raise PrecisionError(f"Edelman-Kostlan difference cancels at z = {z!r}; achievable "
                              f"relative tolerance {achievable:.1e}", achievable=achievable)
     return value
+
+
+#: every ``method`` name ``rho1`` accepts besides ``auto``, aliases included
+ROUTES = {
+    "closed_form": rho1_closed_form,
+    "spectral": rho1_spectral, "spectral_double": rho1_spectral,
+    "qform": rho1_qform, "q_form": rho1_qform,
+    "ek": rho1_ek_numeric, "ek_numeric": rho1_ek_numeric,
+}
+
+
+def rho1(F: SpectralMeasure, z: complex, method: str = "auto") -> float:
+    """Dispatch a zero-density query to the route named in :data:`ROUTES`.
+
+    ``auto`` picks the closed form where it applies, else the quadratic form
+    for an absolutely continuous measure and the double integral otherwise.
+    """
+    if method == "auto":
+        closed = F.density is None or F.density.wave_and_arcs() is not None
+        method = "closed_form" if closed else "spectral_double" if F.atoms else "q_form"
+    route = ROUTES.get(method)
+    if route is None:
+        raise DomainError(f"unknown intensity method {method!r}")
+    return route(F, z)
 
 
 # ---------------------------------------------------------------------------

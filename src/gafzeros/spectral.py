@@ -1,10 +1,11 @@
-"""Spectral measures on (-pi, pi] and the functionals built from them.
+"""Spectral measures on (-pi, pi] and their covariances.
 
 A :class:`SpectralMeasure` is a probability measure ``F`` split into an
 absolutely continuous part (a nonnegative :class:`~gafzeros.periodic.PeriodicFunction`
 density, in mass per radian) and a finite list of atoms.  Its Fourier
 coefficients are the covariances gamma(k) of the stationary coefficient
-process; gamma(0) = 1 is enforced wherever normalization matters.
+process; gamma(0) = 1 is enforced wherever normalization matters.  Operations
+on a density slice (``t_operator``, ``derivative_at_zero``) live in ``periodic``.
 """
 
 from __future__ import annotations
@@ -15,12 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NormalizationError
-from .periodic import PI, TWOPI, PeriodicFunction, mean, t_operator, wrap_angle
+from .periodic import PI, TWOPI, PeriodicFunction, mean, wrap_angle
 
-__all__ = [
-    "SpectralMeasure", "CovarianceSequence", "covariance", "shift",
-    "mean", "apply_T", "derivatives_at_zero",
-]
+__all__ = ["SpectralMeasure", "CovarianceSequence", "covariance", "shift", "mean"]
 
 _MASS_TOL = 1e-10
 _COVARIANCE_CAP = 8192
@@ -90,29 +88,6 @@ def shift(F: SpectralMeasure, phi: float) -> SpectralMeasure:
     atoms = tuple((float(wrap_angle(t - phi)), m) for t, m in F.atoms)
     lab = f"{F.label}@{phi:+.4g}" if F.label else ""
     return SpectralMeasure(density=dens, atoms=atoms, label=lab)
-
-
-def apply_T(h: PeriodicFunction, power: int = 1) -> PeriodicFunction:
-    """Difference quotient (h(s) - h(0)) / (1 - cos s), iterated ``power`` times.
-
-    Exact on every piece: see :func:`~gafzeros.periodic.t_operator`.
-    """
-    if power not in (1, 2, 3):
-        raise DomainError("power must be 1, 2 or 3")
-    return t_operator(h, power)
-
-
-def derivatives_at_zero(h: PeriodicFunction, order: int) -> float:
-    """Derivative of h at s = 0, order <= 4.
-
-    Read off the exact Taylor jet of the piece holding 0 (for a density
-    built from a callable, of its trig fit); requires no breakpoint at 0.
-    """
-    if order < 0 or order > 4:
-        raise DomainError("order must be between 0 and 4")
-    if not h.smooth_at_zero:
-        raise DomainError("function has a breakpoint at s = 0")
-    return h.derivative_at_zero(order)
 
 
 @dataclass(frozen=True)

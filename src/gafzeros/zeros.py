@@ -41,9 +41,6 @@ class ZeroSet:
     def __len__(self):
         return self.roots.size
 
-    def inside_disk(self, radius: float) -> np.ndarray:
-        return self.roots[np.abs(self.roots) < radius]
-
 
 def _newton_ratio(c, z):
     """w = p(z)/p'(z), overflow-safe on both sides of the unit circle.

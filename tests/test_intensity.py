@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from gafzeros import presets
 from gafzeros.errors import (CaseMismatch, DegenerateDenominator, DomainError,
                              MethodUnavailable, PrecisionError)
-from gafzeros.intensity import (_GRAM_ROUNDING, _ratio, rho1, rho1_closed_form,
+from gafzeros.intensity import (_GRAM_ROUNDING, ROUTES, _ratio, rho1, rho1_closed_form,
                                 rho1_ek_numeric, rho1_qform, rho1_spectral, sr_positive_form,
                                 sr_value)
 from gafzeros.periodic import PI, TWOPI, PeriodicFunction, TrigPoly, one_minus_cos, wrap_angle
@@ -184,6 +184,11 @@ def _trig_on_arc():
 def test_rho1_dispatcher_routes():
     F = presets.ma1(0.2)
     z = 0.7
+    # one table holds every method name, aliases included, in the CLI's order
+    assert list(ROUTES) == ["closed_form", "spectral", "spectral_double",
+                            "qform", "q_form", "ek", "ek_numeric"]
+    for name, route in ROUTES.items():
+        assert rho1(F, z, name) == route(F, z), name
     assert rho1(F, z, "auto") == pytest.approx(rho1_qform(F, z), rel=1e-12)
     A = presets.atoms([(0.0, 1.0)])
     assert rho1(A, 0.5, "auto") == pytest.approx(rho1_spectral(A, 0.5), abs=1e-12)
@@ -239,6 +244,17 @@ def test_closed_form_density_vanishing_at_center_regression():
     z = (1.0 - 10**-4.5) * cmath.exp(1j * math.pi)
     got = rho1_closed_form(presets.ma1(0.5), z)
     assert got == pytest.approx(2516.520289582088749907, rel=1e-10)
+
+
+@pytest.mark.parametrize("method", ["spectral_double", "q_form"])
+def test_quadrature_routes_near_second_order_zero(method):
+    # the accuracy their docstrings state: the O(1/y) kernel sums cancel to
+    # O(y) here, costing 5.8e-9 (spectral_double) and 8.0e-9 (q_form); the
+    # bench's intensity.route_gap_max compares auto against spectral_double,
+    # so it reads this oracle error
+    z = (1.0 - 10**-4.5) * cmath.exp(1j * math.pi)
+    got = rho1(presets.ma1(0.5), z, method)
+    assert got == pytest.approx(2516.520289582088749907, rel=2e-8)
 
 
 def test_closed_form_radius_ceiling():

@@ -141,6 +141,18 @@ def test_t_operator_constant_and_x():
     assert np.allclose(t_operator(x)(S_GRID), 1.0, atol=1e-14)
 
 
+def test_t_operator_ma1_hat_constant():
+    a, phi = 0.3, 1.1
+    h = PeriodicFunction.from_trig([1.0, 2 * a * math.cos(phi)])
+    s = np.linspace(-3, 3, 20)
+    assert np.allclose(t_operator(h)(s), -2 * a * math.cos(phi), atol=1e-13)
+
+
+def test_t_operator_rejects_power_below_one():
+    with pytest.raises(DomainError):
+        t_operator(PeriodicFunction.constant(1.0), 0)
+
+
 def test_t_operator_rejects_odd_and_nonsmooth():
     f = PeriodicFunction.step([0.0, 1.0], [0.0, 1.0])
     for power in (1, 2, 3):

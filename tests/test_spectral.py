@@ -9,9 +9,8 @@ from gafzeros import presets
 from gafzeros.continuation import Arc, classify_arcs
 from gafzeros.errors import DomainError, NormalizationError
 from gafzeros.intensity import rho1, rho1_closed_form
-from gafzeros.periodic import PeriodicFunction, mean
-from gafzeros.spectral import (CovarianceSequence, SpectralMeasure, apply_T,
-                               covariance, derivatives_at_zero, shift)
+from gafzeros.periodic import PeriodicFunction, mean, t_operator
+from gafzeros.spectral import CovarianceSequence, SpectralMeasure, covariance, shift
 
 HALF = math.pi / 2
 
@@ -190,7 +189,7 @@ def test_mean_T_of_ma1_slice():
     a = 0.3
     for phi in (0.0, 0.9, 2.2):
         h = PeriodicFunction.from_trig([1.0, 2 * a]).shifted(phi).hat()
-        assert mean(apply_T(h)) == pytest.approx(-2 * a * math.cos(phi), abs=1e-12)
+        assert mean(t_operator(h)) == pytest.approx(-2 * a * math.cos(phi), abs=1e-12)
 
 
 def test_mean_T_of_half_interval_slice():
@@ -198,34 +197,8 @@ def test_mean_T_of_half_interval_slice():
     # giving  (cot(pi/8) + cot(3pi/8)) / (2 pi) = sqrt(2)/pi  at phi = 3pi/4
     phi = 3 * math.pi / 4
     fhat = half_interval_slice(phi).hat()
-    got = mean(apply_T(fhat))
+    got = mean(t_operator(fhat))
     assert got == pytest.approx(math.sqrt(2) / math.pi, rel=1e-12)
-
-
-# ---------------------------------------------------------------------- apply_T
-
-def test_apply_T_constant_zero():
-    s = np.linspace(-3, 3, 20)
-    assert np.allclose(apply_T(PeriodicFunction.constant(3.0))(s), 0.0)
-
-
-def test_apply_T_ma1_hat_constant():
-    a, phi = 0.3, 1.1
-    h = PeriodicFunction.from_trig([1.0, 2 * a * math.cos(phi)])
-    s = np.linspace(-3, 3, 20)
-    assert np.allclose(apply_T(h)(s), -2 * a * math.cos(phi), atol=1e-13)
-
-
-def test_apply_T_one_minus_cos():
-    x = PeriodicFunction.from_trig([1.0, -1.0])
-    s = np.linspace(-3, 3, 20)
-    assert np.allclose(apply_T(x)(s), 1.0, atol=1e-14)
-
-
-def test_apply_T_power_validation():
-    h = PeriodicFunction.constant(1.0)
-    with pytest.raises(DomainError):
-        apply_T(h, power=4)
 
 
 # ---------------------------------------------------------------------- derivatives
@@ -233,35 +206,23 @@ def test_apply_T_power_validation():
 def test_derivatives_ma1_hat():
     a, phi = 0.3, 0.8
     h = PeriodicFunction.from_trig([1.0, 2 * a * math.cos(phi)])
-    assert derivatives_at_zero(h, 2) == pytest.approx(-2 * a * math.cos(phi), abs=1e-12)
+    assert h.derivative_at_zero(2) == pytest.approx(-2 * a * math.cos(phi), abs=1e-12)
 
 
 def test_derivatives_constant():
     h = PeriodicFunction.constant(1.0)
     for order in (1, 2, 3, 4):
-        assert derivatives_at_zero(h, order) == pytest.approx(0.0, abs=1e-13)
-
-
-def test_derivatives_cos2s():
-    h = PeriodicFunction.from_trig([0.0, 0.0, 1.0])
-    assert derivatives_at_zero(h, 2) == pytest.approx(-4.0, abs=1e-11)
-    assert derivatives_at_zero(h, 4) == pytest.approx(16.0, abs=1e-9)
-
-
-def test_derivatives_spectral_vs_analytic_rule():
-    # grid-backed samples against the closed form, for a smooth non-polynomial
-    g_grid = PeriodicFunction.from_callable(lambda s: np.exp(np.cos(s)))
-    d2 = derivatives_at_zero(g_grid, 2)
-    assert d2 == pytest.approx(-math.e, abs=1e-8)
+        assert h.derivative_at_zero(order) == pytest.approx(0.0, abs=1e-13)
 
 
 def test_derivatives_order_cap_and_jump():
     h = PeriodicFunction.constant(1.0)
-    with pytest.raises(DomainError):
-        derivatives_at_zero(h, 5)
+    for order in (-1, 9):  # the jet holds orders 0..8
+        with pytest.raises(DomainError):
+            h.derivative_at_zero(order)
     jump = PeriodicFunction.step([0.0, 1.0], [0.0, 1.0])
     with pytest.raises(DomainError):
-        derivatives_at_zero(jump, 1)
+        jump.derivative_at_zero(1)
 
 
 # ---------------------------------------------------------------------- sequences
