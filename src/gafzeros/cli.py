@@ -130,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--rbins", type=int, default=6)
     e.add_argument("--pbins", type=int, default=8)
     e.add_argument("--seed", type=int, default=0)
-    e.add_argument("--workers", type=int, default=None)
+    e.add_argument("--workers", type=int, default=1)
     e.add_argument("--out", default="")
     e.add_argument("--format", default="csv", choices=["csv", "json"])
     e.set_defaults(func=cmd_experiment)

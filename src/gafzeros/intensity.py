@@ -161,24 +161,32 @@ def _arc_moments(lo: float, hi: float, r: float):
     return e1, e2, s_, e0
 
 
-def rho1_closed_form(F: SpectralMeasure, z: complex) -> float:
-    """Zero density at z from the moments of ``_moment_integrals`` in closed form, the
-    density split once into a trig wave plus a level per piece (``wave_and_arcs``) and
-    summed in floats, no numpy call.  The moments are exact in r, so the ratio takes
-    y = (1 - r)(1 + r); it is scale invariant, so normalization is not checked."""
-    r = _check_radius(abs(z))
-    phi = cmath.phase(z) if r > 0.0 else 0.0
-    y = (1.0 - r) * (1.0 + r)
+def _closed_moments(F: SpectralMeasure, r: float, phi: float, y: float):
+    """The moments of ``_moment_integrals`` at r e^(i phi) in closed form, the density split
+    once into a trig wave plus a level per piece (``wave_and_arcs``) and summed in floats,
+    no numpy call; None without that plan."""
     moments = (0.0, 0.0, 0.0, 0.0)
     if F.density is not None:
         plan = F.density.wave_and_arcs()
         if plan is None:
-            raise MethodUnavailable("closed_form needs pieces differing only in a constant")
+            return None
         moments = _trig_moments(plan[0], phi, r)
         for lo, hi, level in plan[1]:
             arc = _arc_moments(lo - phi, hi - phi, r)
             moments = [m + level * a for m, a in zip(moments, arc)]
-    return _ratio(_with_atoms(moments, F.atoms, r, phi, y), z, y)
+    return _with_atoms(moments, F.atoms, r, phi, y)
+
+
+def rho1_closed_form(F: SpectralMeasure, z: complex) -> float:
+    """Zero density at z from ``_closed_moments``, exact in r, so the ratio takes
+    y = (1 - r)(1 + r); it is scale invariant, so normalization is not checked."""
+    r = _check_radius(abs(z))
+    phi = cmath.phase(z) if r > 0.0 else 0.0
+    y = (1.0 - r) * (1.0 + r)
+    moments = _closed_moments(F, r, phi, y)
+    if moments is None:
+        raise MethodUnavailable("closed_form needs pieces differing only in a constant")
+    return _ratio(moments, z, y)
 
 
 def rho1_spectral(F: SpectralMeasure, z: complex) -> float:

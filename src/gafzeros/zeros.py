@@ -71,12 +71,6 @@ def _newton_ratio(c, z):
     return np.nan_to_num(w, nan=0.0, posinf=0.0, neginf=0.0)
 
 
-def _polish(coeffs, roots, sweeps=3):
-    for _ in range(sweeps):
-        roots = roots - _newton_ratio(coeffs, roots)
-    return roots
-
-
 def _backward_residual(coeffs, roots) -> float:
     """max |p(z)| / sum_k |c_k| |z|^k, via the reversed form outside the circle."""
     if roots.size == 0:
@@ -99,7 +93,7 @@ def _backward_residual(coeffs, roots) -> float:
     return float(out.max())
 
 
-def find_roots(coeffs, max_iter: int = 120, tol: float = 1e-13) -> ZeroSet:
+def find_roots(coeffs) -> ZeroSet:
     """All complex roots of sum_k coeffs[k] z^k by simultaneous iteration.
 
     Leading zero coefficients are trimmed (lowering the degree); trailing
@@ -107,8 +101,8 @@ def find_roots(coeffs, max_iter: int = 120, tol: float = 1e-13) -> ZeroSet:
     the circle whose radius is the geometric mean of the root moduli,
     |c_0 / c_N|^(1/N), with a small angular offset to break symmetry.
 
-    Raises SolverError (with the partial result attached) if the iteration
-    stalls above ``tol``.
+    Raises SolverError (with the partial result attached) if the relative
+    step is still above 1e-13 after 120 sweeps and the residual above 1e-8.
     """
     c = np.asarray(coeffs, dtype=complex).ravel()
     if c.size < 2:
@@ -134,7 +128,7 @@ def find_roots(coeffs, max_iter: int = 120, tol: float = 1e-13) -> ZeroSet:
     z = radius * np.exp(1j * angles)
 
     converged = False
-    for _ in range(max_iter):
+    for _ in range(120):
         w = _newton_ratio(c, z)
         with np.errstate(divide="ignore", invalid="ignore"):
             diff = z[:, None] - z[None, :]
@@ -146,17 +140,18 @@ def find_roots(coeffs, max_iter: int = 120, tol: float = 1e-13) -> ZeroSet:
             step = np.where(np.abs(denom) > 1e-12, w / np.where(denom != 0, denom, 1.0), w)
         step = np.nan_to_num(step, nan=0.0, posinf=0.0, neginf=0.0)
         z = z - step
-        if np.max(np.abs(step) / (1.0 + np.abs(z))) < tol:
+        if np.max(np.abs(step) / (1.0 + np.abs(z))) < 1e-13:
             converged = True
             break
-    z = _polish(c, z)
+    for _ in range(3):  # Newton polish
+        z = z - _newton_ratio(c, z)
     roots = np.concatenate([origin_roots, z])
     residual = _backward_residual(c, z)
     zs = ZeroSet(roots=roots, degree=degree_total, residual=residual)
     if not converged and residual > 1e-8:
         raise SolverError(
             f"simultaneous iteration stalled at residual {residual:.2e} "
-            f"after {max_iter} sweeps", partial=zs)
+            "after 120 sweeps", partial=zs)
     return zs
 
 

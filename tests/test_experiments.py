@@ -1,14 +1,18 @@
+import hashlib
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gafzeros import presets
-from gafzeros.errors import DomainError, TruncationBiasWarning
+from gafzeros.errors import DegenerateDenominator, DomainError, TruncationBiasWarning
 from gafzeros.experiments import (ExperimentConfig, RadialProfile,
                                   analytic_cell_counts, emit_profile,
                                   load_profile, profile_csv, run_experiment)
+from gafzeros.intensity import rho1
 from gafzeros.periodic import PeriodicFunction
 from gafzeros.sampling import sample_blocks
 from gafzeros.spectral import SpectralMeasure
@@ -45,7 +49,7 @@ def test_profile_consistency_with_direct_counts():
     # same seeds, same truncation: per-replica disk counts must agree exactly
     blocks = sample_blocks(cfg.F, cfg.N, cfg.replicas, cfg.seed)
     direct = np.mean([count_region(find_roots(b.values),
-                                   annulus(cfg.r_min, cfg.r_max))
+                                   annulus(0.0, cfg.r_max))
                       for b in blocks])
     assert prof.total_empirical() == pytest.approx(direct, abs=1e-12)
 
@@ -99,11 +103,9 @@ def test_emit_and_load_round_trip(tmp_path):
                 assert back.truncation_caveat == prof.truncation_caveat
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
 def test_step_cell_matches_sub_cell_reference():
-    # the default 6x8 grid up to r = 0.95: the per-cell rule reads 0.2991387
-    # in the cell r in [0.7917, 0.95], phi in [-pi/2, -pi/4], 1.18% above the
-    # 8x8-sub-cell sum 0.2956615 (16x16 sub-cells agree with it to 4e-11)
+    # the default 6x8 grid up to r = 0.95: the cell r in [0.7917, 0.95],
+    # phi in [-pi/2, -pi/4] against the sum over its 8x8 sub-cells
     F = presets.parse_preset("indicator:lo=-1,hi=2")
     r_edges = np.linspace(0.0, 0.95, 7)
     phi_edges = np.linspace(-math.pi, math.pi, 9)
@@ -192,9 +194,118 @@ def test_parallel_matches_serial(F):
     assert profile_csv(a) == profile_csv(b)
 
 
-def test_gaf_threads_env_sets_default_workers(monkeypatch):
-    monkeypatch.setenv("GAF_THREADS", "2")
-    a = run_experiment(small_config(replicas=6, workers=None))
-    monkeypatch.setenv("GAF_THREADS", "1")
-    b = run_experiment(small_config(replicas=6, workers=None))
-    assert np.array_equal(a.empirical_mean, b.empirical_mean)
+@pytest.mark.parametrize("text, cell, want", [
+    # references: the per-cell 8x8 product rule summed over 16x16 sub-cells
+    ("indicator:lo=-1,hi=2", (5, 2), 0.2956614967737),
+    ("indicator:lo=-1.5707963267948966,hi=1.5707963267948966", (5, 1), 0.0713984281577),
+    ("mix:0.5*ma1:a=0.5+0.5*indicator:lo=-1,hi=1", (5, 2), 0.8919924901621),
+], ids=["indicator", "half_circle", "mix"])
+def test_step_cells_on_the_default_grid(text, cell, want):
+    cells = analytic_cell_counts(presets.parse_preset(text), np.linspace(0.0, 0.95, 7),
+                                 np.linspace(-math.pi, math.pi, 9))
+    assert cells[cell] == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("r_edges, phi_edges", [
+    ([0.5, 0.2], [0.0, 1.0]),
+    ([0.2, 0.5], [1.0, 0.0]),
+    ([0.2, 0.5], [-4.0, 4.0]),
+    ([-0.5, 0.5], [0.0, 1.0]),
+], ids=["reversed_r", "reversed_phi", "phi_span_8", "negative_r"])
+def test_analytic_counts_refuse_malformed_edges(r_edges, phi_edges):
+    with pytest.raises(DomainError):
+        analytic_cell_counts(presets.uniform(), r_edges, phi_edges)
+
+
+def test_analytic_counts_refuse_an_underflowed_harmonic_extension():
+    F = SpectralMeasure(atoms=((0.0, 1e-200),))
+    with pytest.raises(DegenerateDenominator):
+        analytic_cell_counts(F, [0.0, 0.5], [0.0, 1.0])
+
+
+@st.composite
+def step_trig_atom_measures(draw):
+    """A step with 2-3 breakpoints and nonnegative levels, plus a random trig
+    density and up to two atoms: every piece differs in a constant only."""
+    nb = draw(st.integers(2, 3))
+    breaks = draw(st.lists(st.floats(-math.pi, math.pi), min_size=nb, max_size=nb,
+                           unique=True).filter(lambda b: min(np.diff(np.sort(b))) > 1e-3))
+    levels = draw(st.lists(st.floats(0.0, 2.0), min_size=nb, max_size=nb).filter(
+        lambda v: max(v) > 0.1))
+    dens = PeriodicFunction.step(breaks, levels)
+    dens = dens * (1.0 / dens.integrals([-math.pi, math.pi])[0].real)
+    if draw(st.booleans()):
+        trig = presets.random_trig_density(draw(st.integers(0, 10**6)), degree=3)
+        dens = 0.5 * dens + 0.5 * trig.density
+    n_atoms = draw(st.integers(0, 2))
+    atoms = tuple((t, 0.2) for t in draw(st.lists(st.floats(-math.pi, math.pi),
+                                                   min_size=n_atoms, max_size=n_atoms)))
+    return SpectralMeasure(density=dens * (1.0 - 0.2 * n_atoms), atoms=atoms)
+
+
+def _edges(draw, lo, hi, n):
+    inner = draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n, unique=True))
+    edges = np.sort([lo, hi, *inner])
+    return edges if min(np.diff(edges)) > 1e-3 else np.array([lo, hi])
+
+
+@st.composite
+def grids(draw):
+    r_lo = draw(st.sampled_from([0.0, 0.3]))
+    r_hi = draw(st.floats(r_lo + 0.1, 0.95))
+    phi_lo = draw(st.floats(-4.0, 4.0))
+    phi_hi = phi_lo + draw(st.sampled_from([2.0 * math.pi, draw(st.floats(0.5, 6.0))]))
+    return (_edges(draw, r_lo, r_hi, draw(st.integers(0, 2))),
+            _edges(draw, phi_lo, phi_hi, draw(st.integers(0, 3))))
+
+
+@settings(max_examples=20, deadline=None)
+@given(step_trig_atom_measures(), grids())
+@example(presets.indicator(-1.0, 2.0),  # a thin annulus: its count is a small difference
+         (np.array([0.0, 0.20898438, 0.2109375]), np.array([0.0, 2.0 * math.pi])))
+@example(presets.uniform(),  # a + 2 pi - a rounds past 2 pi
+         (np.array([0.0, 0.5]), np.array([1.72, 1.72 + 2.0 * math.pi])))
+def test_cells_add_up_to_the_region_they_tile(F, grid):
+    r_edges, phi_edges = grid
+    cells = analytic_cell_counts(F, r_edges, phi_edges)
+    region = analytic_cell_counts(F, r_edges[[0, -1]], phi_edges[[0, -1]])[0, 0]
+    assert cells.sum() == pytest.approx(region, rel=1e-12)
+    hyperbolic = r_edges**2 / (1.0 - r_edges**2)
+    want = np.outer(np.diff(hyperbolic), np.diff(phi_edges)) / (2.0 * math.pi)
+    assert np.allclose(analytic_cell_counts(presets.uniform(), r_edges, phi_edges), want,
+                       rtol=1e-13, atol=1e-14)
+
+
+def test_density_without_a_plan_matches_a_product_rule():
+    # a trig x step product has no closed-form plan: its moments come from the
+    # kernel rule; at r <= 0.6 a 24 x 24 product rule on rho1 resolves each cell
+    dens = PeriodicFunction.from_trig([1.0, 0.6]) * PeriodicFunction.step([-1.0, 1.0],
+                                                                           [1.0, 0.25])
+    F = SpectralMeasure(density=dens)
+    assert dens.wave_and_arcs() is None
+    r_edges, phi_edges = [0.2, 0.6], [-1.0, 1.0, 2.5]
+    cells = analytic_cell_counts(F, r_edges, phi_edges)
+    x, w = np.polynomial.legendre.leggauss(24)
+    rs = 0.4 + 0.2 * x
+    for j, (lo, hi) in enumerate(zip(phi_edges[:-1], phi_edges[1:])):
+        phis = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
+        want = sum(wr * wp * r * rho1(F, r * np.exp(1j * p))
+                   for r, wr in zip(rs, w) for p, wp in zip(phis, w)) * 0.1 * (hi - lo)
+        assert cells[0, j] == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("text, digest", [
+    ("uniform", "14eef8fd0f34"),
+    ("indicator:lo=-1.5707963267948966,hi=1.5707963267948966", "3bccc1305be9"),
+    ("mix:0.5*uniform+0.5*indicator:lo=-1,hi=1", "d9707d56e93c"),
+], ids=["uniform", "half_circle", "mix"])
+def test_empirical_csv_bytes_are_pinned(text, digest):
+    # the CSV rows without the analytic column (and without the header), one
+    # line each: sampling, rooting and binning are byte-stable for a seed
+    cfg = ExperimentConfig(F=presets.parse_preset(text), N=60, replicas=6, seed=5, workers=1)
+    with pytest.warns(TruncationBiasWarning):
+        lines = profile_csv(run_experiment(cfg)).splitlines()
+    drop = lines[0].split(",").index("analytic")
+    rows = "".join(",".join(v for k, v in enumerate(line.split(",")) if k != drop) + "\n"
+                   for line in lines[1:])
+    assert hashlib.sha1(rows.encode()).hexdigest()[:12] == digest

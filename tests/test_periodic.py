@@ -410,7 +410,6 @@ def test_is_even_reads_pieces():
 
 @pytest.mark.parametrize("module, names, n", [
     ("gafzeros.periodic", ("_GL_X", "_GL_W"), 32),
-    ("gafzeros.experiments", ("_GL8_X", "_GL8_W"), 8),
 ])
 def test_gauss_legendre_tables_match_leggauss(module, names, n):
     import importlib
