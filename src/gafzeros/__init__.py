@@ -20,16 +20,16 @@ from .errors import (BoundaryTieWarning, CaseMismatch, DegenerateDenominator,
                      TailWarning, TruncationBiasWarning)
 from .experiments import (ExperimentConfig, RadialProfile, analytic_cell_counts,
                           emit_profile, load_profile, run_experiment)
-from .intensity import (rho1, rho1_ek_numeric, rho1_qform, rho1_spectral,
-                        sr_positive_form, sr_value)
-from .periodic import PeriodicFunction, TrigPoly
-from .poisson import (AuxValues, K_diag, K_offdiag, KernelPoint, P_op, Q_op,
-                      aux_ops, harmonic_extension, herglotz, poisson_kernel)
+from .intensity import (rho1, rho1_closed_form, rho1_ek_numeric, rho1_qform,
+                        rho1_spectral, sr_positive_form, sr_value)
+from .periodic import PeriodicFunction, TrigPoly, mean
+from .poisson import (AuxValues, K_offdiag, KernelPoint, P_op, Q_op, aux_ops,
+                      herglotz, poisson_kernel)
 from .presets import (atoms, indicator, ma1, mix, parse_preset,
                       random_trig_density, uniform)
 from .sampling import (CoefficientBlock, empirical_covariance, radius_check,
                        replica_seed, sample_block, sample_blocks)
-from .spectral import CovarianceSequence, SpectralMeasure, covariance, mean, shift
+from .spectral import SpectralMeasure, covariance, shift
 from .zeros import (ZeroSet, annulus, companion_roots, count_region, disk,
                     find_roots, sector)
 

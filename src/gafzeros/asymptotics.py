@@ -44,7 +44,6 @@ class ExpansionReport:
     valid_order: int
     source: str
     inputs: dict[str, float] = field(default_factory=dict)
-    variable: str = "y"
 
     def __call__(self, y: float) -> float:
         return float(sum(c * float(y) ** k for k, c in self.coefficients.items()))

@@ -24,7 +24,7 @@ from .periodic import PI, TWOPI, panel_nodes
 from .poisson import KernelPoint, _check_radius, graded_edges
 from .sampling import sample_blocks
 from .spectral import SpectralMeasure
-from .zeros import find_roots
+from .zeros import MAX_DEGREE, find_roots
 
 __all__ = ["ExperimentConfig", "RadialProfile", "run_experiment",
            "emit_profile", "load_profile", "analytic_cell_counts"]
@@ -47,8 +47,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if not 0.0 < self.r_max <= 0.99:
             raise DomainError("need 0 < r_max <= 0.99")
-        if self.r_bins < 1 or self.phi_bins < 1 or self.replicas < 1:
-            raise DomainError("bins and replicas must be positive")
+        if self.r_bins < 1 or self.phi_bins < 1 or self.replicas < 1 or self.workers < 1:
+            raise DomainError("bins, replicas and workers must be positive")
+        if not 1 <= self.N <= MAX_DEGREE:
+            raise DomainError(f"need 1 <= N <= {MAX_DEGREE}")
 
 
 @dataclass(frozen=True)

@@ -122,11 +122,10 @@ class TrigPoly:
     def coefficient(self, k: int) -> complex:
         return self.c[self.degree + k] if abs(k) <= self.degree else 0.0j
 
-    def trimmed(self, tol=0.0):
+    def trimmed(self):
         d = self.degree
-        mags = np.abs(self.c)
         top = d
-        while top > 0 and mags[d + top] <= tol and mags[d - top] <= tol:
+        while top > 0 and self.c[d + top] == 0 and self.c[d - top] == 0:
             top -= 1
         if top == d:
             return self
@@ -191,7 +190,7 @@ def divide_by_one_minus_cos(tp: TrigPoly, g0: float) -> TrigPoly:
         u_above, u_here = u_here, u_below
     # restore the exact Hermitian/even symmetry of the real even quotient
     u = 0.5 * (u + np.conj(u[::-1]))
-    return TrigPoly(u).trimmed(tol=0.0)
+    return TrigPoly(u).trimmed()
 
 
 # ---------------------------------------------------------------------------
@@ -433,11 +432,11 @@ class PeriodicFunction:
         """Odd part (h(s) - h(-s)) / 2."""
         return self._parity(-1.0)
 
-    def is_even(self, tol=1e-12):
+    def is_even(self):
         """True when every piece of the odd part, (p - mirrored p) / 2,
-        vanishes to ``tol`` relative."""
+        vanishes to 1e-12 relative."""
         scale = max(max(np.abs(p.c).max() for p, _ in self.pieces), 1.0)
-        return all(np.abs(p.c).max() <= 0.5 * tol * scale for p, _ in self.check().pieces)
+        return all(np.abs(p.c).max() <= 0.5e-12 * scale for p, _ in self.check().pieces)
 
     # -- shift ---------------------------------------------------------------
     def shifted(self, phi: float):

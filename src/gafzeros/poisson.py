@@ -13,7 +13,8 @@ to 2.5e-14 max(1, |log var_k|) up to r = 1 - 1e-9 (``_log_weights`` there).
 The operators here refuse direct quadrature above r = 1 - 1e-6; past that
 only the boundary expansions are meaningful.  The covariance kernel reads one
 such integral, the Herglotz transform Phi of the spectral measure
-(``herglotz``).
+(``herglotz``): K(z, z) = Re Phi(z) / (1 - |z|^2), and ``K_offdiag`` off the
+diagonal.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .spectral import SpectralMeasure
 
 __all__ = [
     "KernelPoint", "poisson_kernel", "P_op", "Q_op", "AuxValues", "aux_ops",
-    "herglotz", "harmonic_extension", "K_diag", "K_offdiag", "R_CEILING",
+    "herglotz", "K_offdiag", "R_CEILING",
 ]
 
 #: radii above this are refused by direct quadrature
@@ -131,9 +132,9 @@ def graded_edges(r: float, breakpoints=(), centers=(0.0,), floor_scale=GRADING_F
     return np.array(merged)
 
 
-def _kernel_nodes(r, breakpoints=(), centers=(0.0,), floor_scale=GRADING_FLOOR):
-    """The kernel rule: Gauss-Legendre nodes and weights on graded_edges."""
-    return panel_nodes(graded_edges(r, breakpoints, centers, floor_scale))
+def _kernel_nodes(r, breakpoints):
+    """The kernel rule: Gauss-Legendre nodes and weights on graded_edges toward 0."""
+    return panel_nodes(graded_edges(r, breakpoints))
 
 
 def P_op(h: PeriodicFunction, r: float) -> float:
@@ -203,16 +204,6 @@ def herglotz(F: SpectralMeasure, z: complex) -> tuple[complex, complex]:
     phi_z = np.sum(mass * ((1.0 - r) * (1.0 + r) - 2j * r * sn) / ((1.0 - r) ** 2 + 2.0 * r * x))
     dphi_z = 2.0 * np.sum(mass * (d + r) / d**2) * cmath.exp(-1j * pt.phi)
     return complex(phi_z), complex(dphi_z)
-
-
-def harmonic_extension(F: SpectralMeasure, z: complex) -> float:
-    """Poisson integral of the measure at z: int P_r(phi - t) dF(t) = Re Phi."""
-    return herglotz(F, z)[0].real
-
-
-def K_diag(F: SpectralMeasure, z: complex) -> float:
-    """Variance of the series at z: harmonic extension over (1 - |z|^2)."""
-    return harmonic_extension(F, z) / KernelPoint.from_z(z).y
 
 
 def K_offdiag(F: SpectralMeasure, z: complex, w: complex) -> complex:

@@ -62,10 +62,6 @@ class CoefficientBlock:
     F_label: str
     grid_size: int
 
-    @property
-    def degree(self) -> int:
-        return self.values.size - 1
-
 
 def default_grid_size(N: int) -> int:
     return max(8 * (N + 1), 4096)

@@ -11,14 +11,14 @@ on a density slice (``t_operator``, ``derivative_at_zero``) live in ``periodic``
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, NormalizationError
 from .periodic import PI, TWOPI, PeriodicFunction, mean, wrap_angle
 
-__all__ = ["SpectralMeasure", "CovarianceSequence", "covariance", "shift", "mean"]
+__all__ = ["SpectralMeasure", "covariance", "shift"]
 
 _MASS_TOL = 1e-10
 _COVARIANCE_CAP = 8192
@@ -88,41 +88,3 @@ def shift(F: SpectralMeasure, phi: float) -> SpectralMeasure:
     atoms = tuple((float(wrap_angle(t - phi)), m) for t, m in F.atoms)
     lab = f"{F.label}@{phi:+.4g}" if F.label else ""
     return SpectralMeasure(density=dens, atoms=atoms, label=lab)
-
-
-@dataclass(frozen=True)
-class CovarianceSequence:
-    """Covariances gamma(k), k = -K..K, of the coefficient process."""
-
-    values: np.ndarray
-    K: int = field(default=0)
-
-    @classmethod
-    def from_measure(cls, F: SpectralMeasure, K: int) -> "CovarianceSequence":
-        vals = np.empty(2 * K + 1, dtype=complex)
-        for k in range(0, K + 1):
-            vals[K + k] = covariance(F, k)
-            vals[K - k] = np.conj(vals[K + k])
-        return cls(values=vals, K=K)
-
-    def gamma(self, k: int) -> complex:
-        if abs(k) > self.K:
-            raise DomainError(f"|k| > {self.K}")
-        return complex(self.values[self.K + k])
-
-    def toeplitz(self) -> np.ndarray:
-        n = self.K + 1
-        idx = np.subtract.outer(np.arange(n), np.arange(n))
-        return self.values[self.K + idx]
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.toeplitz()).min().real)
-
-    def validate(self, psd_tol: float = 1e-10):
-        if abs(self.gamma(0) - 1.0) > _MASS_TOL:
-            raise NormalizationError("gamma(0) must equal 1")
-        herm = np.abs(self.values - np.conj(self.values[::-1])).max()
-        if herm > 1e-12:
-            raise DomainError("sequence is not Hermitian")
-        if self.min_eigenvalue() < -psd_tol:
-            raise DomainError("Toeplitz matrix is not positive semidefinite")

@@ -210,6 +210,9 @@ def test_exit_code_domain_error(capsys):
     assert "error" in err
     code, _, _ = run_cli(capsys, "density", "--preset", "nonsense", "--r", "0.5")
     assert code == 2
+    # refused by the config, before any replica is sampled
+    code, out, _ = run_cli(capsys, "experiment", "--preset", "uniform", "--n", "2049")
+    assert code == 2 and out == ""
 
 
 def test_exit_code_precision_error(capsys):

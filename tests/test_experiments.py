@@ -16,7 +16,7 @@ from gafzeros.intensity import rho1
 from gafzeros.periodic import PeriodicFunction
 from gafzeros.sampling import sample_blocks
 from gafzeros.spectral import SpectralMeasure
-from gafzeros.zeros import annulus, count_region, find_roots
+from gafzeros.zeros import MAX_DEGREE, annulus, count_region, find_roots
 
 
 def small_config(**kw):
@@ -31,6 +31,12 @@ def test_config_validation():
         ExperimentConfig(F=presets.uniform(), r_max=1.5)
     with pytest.raises(DomainError):
         ExperimentConfig(F=presets.uniform(), r_bins=0)
+    # refused when the config is built, before any replica is sampled
+    with pytest.raises(DomainError):
+        ExperimentConfig(F=presets.uniform(), N=MAX_DEGREE + 1)
+    with pytest.raises(DomainError):
+        ExperimentConfig(F=presets.uniform(), workers=0)
+    assert ExperimentConfig(F=presets.uniform(), N=MAX_DEGREE).N == MAX_DEGREE
 
 
 def test_analytic_counts_uniform_disk():

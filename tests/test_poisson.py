@@ -8,13 +8,17 @@ from hypothesis import strategies as st
 
 from gafzeros import presets
 from gafzeros.errors import DomainError, PrecisionError
-from gafzeros.periodic import PeriodicFunction, mean, wrap_angle
-from gafzeros.poisson import (R_CEILING, AuxValues, K_diag, K_offdiag, KernelPoint,
-                              P_op, Q_op, _kernel_nodes, aux_ops, graded_edges,
-                              harmonic_extension, herglotz, poisson_kernel)
+from gafzeros.periodic import PeriodicFunction, mean, panel_nodes, wrap_angle
+from gafzeros.poisson import (R_CEILING, AuxValues, K_offdiag, KernelPoint, P_op, Q_op,
+                              aux_ops, graded_edges, herglotz, poisson_kernel)
 
 ONE = PeriodicFunction.constant(1.0)
 X = PeriodicFunction.from_trig([1.0, -1.0])  # 1 - cos s
+
+
+def k_diag(F, z):
+    # the variance K(z, z) of the series: Re Phi over 1 - |z|^2
+    return herglotz(F, z)[0].real / (1 - abs(z) ** 2)
 
 
 def test_kernel_point_validation():
@@ -71,7 +75,7 @@ def test_precision_ceiling():
         Q_op(ONE, 1 - 1e-8)
     assert err.value.achievable is not None
     with pytest.raises(PrecisionError):
-        harmonic_extension(presets.uniform(), (1 - 1e-8) + 0j)
+        herglotz(presets.uniform(), (1 - 1e-8) + 0j)
     with pytest.raises(PrecisionError):
         K_offdiag(presets.uniform(), (1 - 1e-8) + 0j, 0.2 + 0j)
 
@@ -119,8 +123,8 @@ def test_symmetry_filtering():
 def test_harmonic_extension_uniform():
     U = presets.uniform()
     for z in (0.0, 0.3 + 0.4j, 0.99j):
-        assert harmonic_extension(U, z) == pytest.approx(1.0, abs=1e-12)
-        assert K_diag(U, z) == pytest.approx(1 / (1 - abs(z) ** 2), rel=1e-12)
+        assert herglotz(U, z)[0].real == pytest.approx(1.0, abs=1e-12)
+        assert k_diag(U, z) == pytest.approx(1 / (1 - abs(z) ** 2), rel=1e-12)
 
 
 def test_K_offdiag_uniform_geometric_series_oracle():
@@ -139,7 +143,7 @@ def test_K_offdiag_uniform_geometric_series_oracle():
 def test_K_single_atom():
     A = presets.atoms([(0.0, 1.0)])
     z = 0.55 * cmath.exp(0.4j)
-    assert K_diag(A, z) == pytest.approx(1 / abs(1 - z) ** 2, rel=1e-13)
+    assert k_diag(A, z) == pytest.approx(1 / abs(1 - z) ** 2, rel=1e-13)
     w = 0.3 * cmath.exp(-1.0j)
     want = 1 / ((1 - z) * np.conj(1 - w))
     assert K_offdiag(A, z, w) == pytest.approx(want, rel=1e-13)
@@ -155,8 +159,8 @@ def test_kernel_positivity_and_cauchy_schwarz():
         for _ in range(8):
             z = rng.uniform(0, 0.95) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
             w = rng.uniform(0, 0.95) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
-            kzz = K_diag(F, z)
-            kww = K_diag(F, w)
+            kzz = k_diag(F, z)
+            kww = k_diag(F, w)
             kzw = K_offdiag(F, z, w)
             assert kzz > 0
             assert abs(kzw) ** 2 <= kzz * kww * (1 + 1e-10)
@@ -180,7 +184,8 @@ def test_herglotz_closed_forms():
 def _K_offdiag_two_centre(F, z, w):
     # the covariance integral on one rule graded toward both kernel centres
     zp, wp = KernelPoint.from_z(z), KernelPoint.from_z(w)
-    pts, wts = _kernel_nodes(max(zp.r, wp.r), F.density.breakpoints, centers=(zp.phi, wp.phi))
+    pts, wts = panel_nodes(graded_edges(max(zp.r, wp.r), F.density.breakpoints,
+                                        centers=(zp.phi, wp.phi)))
     integrand = 1.0 / ((1.0 - z * np.exp(-1j * pts)) * np.conj(1.0 - w * np.exp(-1j * pts)))
     return complex(np.sum(F.density(pts) * integrand * wts))
 
@@ -197,7 +202,7 @@ def test_K_offdiag_matches_two_centre_quadrature(F):
 def test_harmonic_extension_matches_offdiag_on_diagonal():
     F = presets.ma1(0.25)
     z = 0.8 * cmath.exp(2.2j)
-    kd = K_diag(F, z)
+    kd = k_diag(F, z)
     ko = K_offdiag(F, z, z)
     assert kd == pytest.approx(ko.real, rel=1e-10)
     assert abs(ko.imag) < 1e-12 * kd

@@ -10,7 +10,7 @@ from gafzeros.continuation import Arc, classify_arcs
 from gafzeros.errors import DomainError, NormalizationError
 from gafzeros.intensity import rho1, rho1_closed_form
 from gafzeros.periodic import PeriodicFunction, mean, t_operator
-from gafzeros.spectral import CovarianceSequence, SpectralMeasure, covariance, shift
+from gafzeros.spectral import SpectralMeasure, covariance, shift
 
 HALF = math.pi / 2
 
@@ -229,15 +229,17 @@ def test_derivatives_order_cap_and_jump():
 
 @pytest.mark.parametrize("F", ALL_PRESETS, ids=lambda F: F.label[:24])
 def test_toeplitz_psd_for_presets(F):
-    seq = CovarianceSequence.from_measure(F, 32)
-    assert seq.min_eigenvalue() >= -1e-8
-    seq.validate(psd_tol=1e-8)
+    # the Toeplitz matrix gamma(j - k) for j, k = 0..32
+    gamma = np.array([covariance(F, k) for k in range(-32, 33)])
+    toeplitz = gamma[32 + np.subtract.outer(np.arange(33), np.arange(33))]
+    assert abs(gamma[32] - 1.0) <= 1e-10
+    assert np.abs(toeplitz - toeplitz.conj().T).max() <= 1e-12
+    assert np.linalg.eigvalsh(toeplitz).min() >= -1e-8
 
 
 def test_covariance_sequence_accessors():
-    seq = CovarianceSequence.from_measure(presets.ma1(0.25), 4)
-    assert seq.gamma(0) == pytest.approx(1.0, abs=1e-12)
-    assert seq.gamma(-1) == pytest.approx(np.conj(seq.gamma(1)), abs=1e-15)
-    assert seq.toeplitz().shape == (5, 5)
+    F = presets.ma1(0.25)
+    assert covariance(F, 0) == pytest.approx(1.0, abs=1e-12)
+    assert covariance(F, -1) == pytest.approx(np.conj(covariance(F, 1)), abs=1e-15)
     with pytest.raises(DomainError):
-        seq.gamma(9)
+        covariance(F, 8193)
