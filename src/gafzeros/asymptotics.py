@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegenerateDenominator, DomainError
-from .periodic import PI, PeriodicFunction, mean, t_operator, wrap_angle
+from .periodic import COS, PI, SIN, PeriodicFunction, mean, t_operator, wrap_angle
 from .poisson import P_op, aux_ops
 from .spectral import SpectralMeasure
 
@@ -120,7 +120,7 @@ def _slice_functionals(g: PeriodicFunction) -> dict[str, float]:
         "I_Tgh": f["I_T1h"],
         "I_T2gh": f["I_T2h"],
         "I_T2ghcos": f["I_T2h"] - f["I_T1h"],
-        "I_T2gcsin": mean(t_operator(g.check().times_sin(), 2)),
+        "I_T2gcsin": mean(t_operator(g.check() * SIN, 2)),
     }
 
 
@@ -156,7 +156,7 @@ def expand_S_via_products(g: PeriodicFunction) -> ExpansionReport:
     then subtracts.  Floating point enters only through the functionals.
     """
     g_hat = g.hat()
-    parts = [g_hat, g_hat.times_cos(), g.check().times_sin()]
+    parts = [g_hat, g_hat * COS, g.check() * SIN]
     signs = [1, -1, -1]
     total: dict[int, Fraction] = {}
     for part, sign in zip(parts, signs):

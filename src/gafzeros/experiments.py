@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDenominator, DomainError, TruncationBiasWarning
-from .intensity import _DENOM_FLOOR, _closed_moments, _moment_integrals
+from .intensity import _DENOM_FLOOR
 from .periodic import PI, TWOPI, panel_nodes
-from .poisson import KernelPoint, _check_radius, graded_edges
+from .poisson import _check_radius, _herglotz_plan, graded_edges, herglotz
 from .sampling import sample_blocks
 from .spectral import SpectralMeasure
 from .zeros import MAX_DEGREE, find_roots
@@ -83,22 +83,18 @@ def _replica_counts(args):
     return np.histogram2d(r[keep], np.angle(roots[keep]), bins=[r_edges, phi_edges])[0]
 
 
-def _slopes(F: SpectralMeasure, r: float, phi: float):
-    """r d/dr log b = A/b - (1 + r^2)/y and (1/r) d/dphi log b = 2s/(y b) at r e^(i phi), from
-    the moments (minus, plus, s, b) of rho1: A = (minus + plus)/2 and b = Re Phi."""
-    y = (1.0 - r) * (1.0 + r)
-    minus, plus, s_, b = (_closed_moments(F, r, phi, y)
-                          or _moment_integrals(F, KernelPoint.from_polar(r, phi)))
-    if not b > _DENOM_FLOOR:
-        raise DegenerateDenominator(f"harmonic extension {b!r} at r = {r!r}, phi = {phi!r}")
-    return 0.5 * (minus + plus) / b - (1.0 + r * r) / y, 2.0 * s_ / (y * b)
-
-
-def _cell_sums(edges: np.ndarray, cells: np.ndarray, f) -> np.ndarray:
-    """Integral of f over each cell between ``cells`` on the panels between ``edges``."""
-    pts, wts = panel_nodes(edges)
-    panels = (wts * [f(x) for x in pts.tolist()]).reshape(edges.size - 1, -1).sum(axis=1)
-    return np.add.reduceat(panels, np.searchsorted(edges, cells[:-1]))
+def _flux(F: SpectralMeasure, edges: np.ndarray, cells: np.ndarray, path) -> np.ndarray:
+    """Im of the integral of Phi'/b dz, b = Re Phi, along (z, dz/dt) = path(t) between
+    consecutive ``cells`` on the panels between ``edges``, over the last axis of z."""
+    t, w = panel_nodes(edges)
+    z, dz = path(t)
+    phi, dphi = (_herglotz_plan(F, z)
+                 or np.vectorize(lambda v: herglotz(F, v), otypes=[complex, complex])(z))
+    if not np.all(phi.real > _DENOM_FLOOR):
+        raise DegenerateDenominator(f"harmonic extension {phi.real.min()!r} on the edge "
+                                    f"through z = {complex(z.flat[0])!r}")
+    panels = (w * (dphi * dz).imag / phi.real).reshape(*z.shape[:-1], edges.size - 1, -1)
+    return np.add.reduceat(panels.sum(axis=-1), np.searchsorted(edges, cells[:-1]), axis=-1)
 
 
 def analytic_cell_counts(F: SpectralMeasure, r_edges, phi_edges) -> np.ndarray:
@@ -106,12 +102,12 @@ def analytic_cell_counts(F: SpectralMeasure, r_edges, phi_edges) -> np.ndarray:
 
     rho1 = Delta log(b / y) / (4 pi) with b = Re Phi, so by Green's theorem a cell holds
     dphi/(2 pi) [r^2/(1 - r^2)] from r_lo to r_hi plus 1/(4 pi) times the outward flux
-    of grad log b (``_slopes``): along each arc on ``graded_edges`` toward the
-    breakpoints and atoms down to 1 - r, merged with the phi edges; along each ray on
-    panels growing by 8 from 1 - r_max inward.  Each edge is computed once for its two
-    cells, so cells add up to the region they tile.  Splitting every panel in four
-    moves no cell by more than 3e-15 (1e-12 relative) up to r = 0.99; ``uniform`` is
-    its closed form to 1e-15.
+    of grad log b, the flux Im of the integral of Phi'/b dz (``_flux``): along each arc,
+    dz = iz dphi on ``graded_edges`` toward the breakpoints and atoms down to 1 - r,
+    merged with the phi edges; along each ray, dz = e^(i phi) dr on panels growing by 8
+    from 1 - r_max inward.  Each edge is computed once for its two cells, so cells add
+    up to the region they tile.  Splitting every panel in four moves no cell by more
+    than 3e-15 (1e-12 relative) up to r = 0.99; ``uniform`` is its closed form to 1e-15.
     """
     r_edges, phi_edges = np.asarray(r_edges, dtype=float), np.asarray(phi_edges, dtype=float)
     span = phi_edges[-1] - phi_edges[0]  # a + 2 pi - a may round past 2 pi
@@ -123,24 +119,24 @@ def analytic_cell_counts(F: SpectralMeasure, r_edges, phi_edges) -> np.ndarray:
     phi0 = phi_edges[0]
     centers = [t for t, _ in F.atoms] + ([] if F.density is None
                                          else F.density.breakpoints.tolist())
-    arcs = np.zeros((r_edges.size, phi_edges.size - 1))  # an arc of radius 0 has no flux
-    for i, r in enumerate(r_edges.tolist()):
-        if r > 0.0:
-            # panels at most pi/8 wide: log b of a density with a double zero is
-            # singular about sqrt(2 (1 - r)) off the circle
-            graded = np.mod(graded_edges(r, centers=centers, floor_scale=1.0) - phi0, TWOPI)
-            edges = phi0 + np.union1d(graded, np.arange(16) * (TWOPI / 16))
-            edges = np.union1d(edges[edges <= phi_edges[-1]], phi_edges)
-            arcs[i] = _cell_sums(edges, phi_edges, lambda phi: _slopes(F, r, phi)[0])
+    arcs = []  # dz = 0 on an arc of radius 0: no flux
+    for r in r_edges.tolist():
+        # panels at most pi/8 wide: log b of a density with a double zero is
+        # singular about sqrt(2 (1 - r)) off the circle
+        graded = np.mod(graded_edges(r, centers=centers, floor_scale=1.0) - phi0, TWOPI)
+        edges = phi0 + np.union1d(graded, np.arange(16) * (TWOPI / 16))
+        edges = np.union1d(edges[edges <= phi_edges[-1]], phi_edges)
+        arcs.append(_flux(F, edges, phi_edges,
+                          lambda t: (r * np.exp(1j * t), 1j * r * np.exp(1j * t))))
     toward_one = 1.0 - (1.0 - r_edges[-1]) * 8.0 ** np.arange(1, 22)
     r_panels = np.union1d(r_edges, toward_one[toward_one > r_edges[0]])
     closed = span > TWOPI - 1e-12  # then the first and last rays are one edge
-    rays = [_cell_sums(r_panels, r_edges, lambda r: _slopes(F, r, phi)[1])
-            for phi in (phi_edges[:-1] if closed else phi_edges).tolist()]
-    rays = np.array(rays + [rays[0]] if closed else rays)
+    u = np.exp(1j * (phi_edges[:-1] if closed else phi_edges))[:, None]
+    rays = _flux(F, r_panels, r_edges, lambda r: (r * u, u))  # one row per ray
+    rays = np.concatenate([rays, rays[:1]]) if closed else rays
     hyperbolic = r_edges**2 / ((1.0 - r_edges) * (1.0 + r_edges))
     return (np.outer(np.diff(hyperbolic), np.diff(phi_edges)) / TWOPI
-            + (np.diff(arcs, axis=0) + np.diff(rays, axis=0).T) / (4.0 * PI))
+            + (np.diff(arcs, axis=0) - np.diff(rays, axis=0).T) / (4.0 * PI))
 
 
 def run_experiment(config: ExperimentConfig) -> RadialProfile:

@@ -68,30 +68,6 @@ def _ratio(moments, z: complex, y: float) -> float:
     return max(num, 0.0) / (PI * y**2 * b * b)
 
 
-def _moment_integrals(F: SpectralMeasure, pt: KernelPoint):
-    """Squared-kernel moments of the rotated measure against (1 - cos s),
-    (1 + cos s) and sin s, plus the plain Poisson integral.
-
-    The numerator A^2 - C^2 - S^2 (plain/cosine/sine moments) is assembled as
-    the product form (A - C)(A + C) - S^2 with A -+ C integrated directly:
-    A and C separately diverge like 1/y and their squares cancel
-    catastrophically, while A - C stays O(1).
-    """
-    minus = plus = s_ = b = 0.0
-    if F.density is not None:
-        dens_phi = F.density.shifted(pt.phi)
-        pts, wts = _kernel_nodes(pt.r, dens_phi.breakpoints)
-        fv = dens_phi(pts) * wts
-        pk = poisson_kernel(pt.r, pts)
-        pk2 = pk * pk
-        x = one_minus_cos(pts)
-        minus += float(np.sum(fv * x * pk2))
-        plus += float(np.sum(fv * (2.0 - x) * pk2))
-        s_ += float(np.sum(fv * np.sin(pts) * pk2))
-        b += float(np.sum(fv * pk))
-    return _with_atoms((minus, plus, s_, b), F.atoms, pt.r, pt.phi, pt.y)
-
-
 def _trig_moments(c, phi: float, r: float):
     """Moments of the spectrum c_(-d..d) rotated by phi (c_k -> c_k e^(ik phi)) as finite sums
     2 pi sum_k c_k g_(-k) over the kernel coefficients g_k: r^|k| for P,
@@ -161,47 +137,55 @@ def _arc_moments(lo: float, hi: float, r: float):
     return e1, e2, s_, e0
 
 
-def _closed_moments(F: SpectralMeasure, r: float, phi: float, y: float):
-    """The moments of ``_moment_integrals`` at r e^(i phi) in closed form, the density split
-    once into a trig wave plus a level per piece (``wave_and_arcs``) and summed in floats,
-    no numpy call; None without that plan."""
+def rho1_closed_form(F: SpectralMeasure, z: complex) -> float:
+    """Zero density at z from the moments of ``rho1_spectral`` in closed form, exact in r,
+    so the ratio takes y = (1 - r)(1 + r): the density split once into a trig wave plus a
+    level per piece (``wave_and_arcs``) and summed in floats, no numpy call.  The ratio
+    is scale invariant, so normalization is not checked."""
+    r = _check_radius(abs(z))
+    phi = cmath.phase(z) if r > 0.0 else 0.0
+    y = (1.0 - r) * (1.0 + r)
     moments = (0.0, 0.0, 0.0, 0.0)
     if F.density is not None:
         plan = F.density.wave_and_arcs()
         if plan is None:
-            return None
+            raise MethodUnavailable("closed_form needs pieces differing only in a constant")
         moments = _trig_moments(plan[0], phi, r)
         for lo, hi, level in plan[1]:
             arc = _arc_moments(lo - phi, hi - phi, r)
             moments = [m + level * a for m, a in zip(moments, arc)]
-    return _with_atoms(moments, F.atoms, r, phi, y)
-
-
-def rho1_closed_form(F: SpectralMeasure, z: complex) -> float:
-    """Zero density at z from ``_closed_moments``, exact in r, so the ratio takes
-    y = (1 - r)(1 + r); it is scale invariant, so normalization is not checked."""
-    r = _check_radius(abs(z))
-    phi = cmath.phase(z) if r > 0.0 else 0.0
-    y = (1.0 - r) * (1.0 + r)
-    moments = _closed_moments(F, r, phi, y)
-    if moments is None:
-        raise MethodUnavailable("closed_form needs pieces differing only in a constant")
-    return _ratio(moments, z, y)
+    return _ratio(_with_atoms(moments, F.atoms, r, phi, y), z, y)
 
 
 def rho1_spectral(F: SpectralMeasure, z: complex) -> float:
     """Zero density at z from the double-integral representation.
 
     The double integral of {1 - cos(t-s)} against the squared kernels
-    factorizes into single moments, reducing O(M^2) to O(M) and keeping atom
-    contributions exact.  Where the density vanishes to second order at the
-    kernel center, sums of O(1/y) terms cancel to O(y): 5.8e-9 relative off at
-    ``ma1:a=0.5``, phi = pi, r = 1 - 10^-4.5 (``rho1_closed_form``: 1.5e-12).
+    factorizes into single moments of the rotated measure, against 1 - cos s,
+    1 + cos s and sin s, plus the plain Poisson integral: O(M) instead of O(M^2),
+    with the atom terms exact.  The numerator A^2 - C^2 - S^2 (plain/cosine/sine
+    moments) is the product (A - C)(A + C) - S^2 with A -+ C integrated directly:
+    A and C each diverge like 1/y, while A - C stays O(1).  Where the density
+    vanishes to second order at the kernel center, sums of O(1/y) terms cancel to
+    O(y): 5.8e-9 relative off at ``ma1:a=0.5``, phi = pi, r = 1 - 10^-4.5
+    (``rho1_closed_form``: 1.5e-12).
     """
     F.validate_normalized()
     pt = KernelPoint.from_z(z)
     _check_radius(pt.r)
-    return _ratio(_moment_integrals(F, pt), z, pt.y)
+    minus = plus = s_ = b = 0.0
+    if F.density is not None:
+        dens_phi = F.density.shifted(pt.phi)
+        pts, wts = _kernel_nodes(pt.r, dens_phi.breakpoints)
+        fv = dens_phi(pts) * wts
+        pk = poisson_kernel(pt.r, pts)
+        pk2 = pk * pk
+        x = one_minus_cos(pts)
+        minus += float(np.sum(fv * x * pk2))
+        plus += float(np.sum(fv * (2.0 - x) * pk2))
+        s_ += float(np.sum(fv * np.sin(pts) * pk2))
+        b += float(np.sum(fv * pk))
+    return _ratio(_with_atoms((minus, plus, s_, b), F.atoms, pt.r, pt.phi, pt.y), z, pt.y)
 
 
 def _qform_parts(f_phi: PeriodicFunction, r: float):

@@ -109,16 +109,6 @@ class TrigPoly:
         phase = np.exp(1j * np.multiply.outer(s, ks))
         return np.real(phase @ self.c)
 
-    def cos_sin_coeffs(self):
-        d = self.degree
-        a = np.zeros(d + 1)
-        b = np.zeros(d + 1)
-        a[0] = self.c[d].real
-        for k in range(1, d + 1):
-            a[k] = 2.0 * self.c[d + k].real
-            b[k] = -2.0 * self.c[d + k].imag
-        return a, b
-
     def coefficient(self, k: int) -> complex:
         return self.c[self.degree + k] if abs(k) <= self.degree else 0.0j
 
@@ -480,12 +470,6 @@ class PeriodicFunction:
                                          for i, j in pairs], jet=jet)
 
     __rmul__ = __mul__
-
-    def times_cos(self):
-        return self * COS
-
-    def times_sin(self):
-        return self * SIN
 
     # -- integrals -------------------------------------------------------------
     def integrals(self, edges, k: int = 0) -> np.ndarray:

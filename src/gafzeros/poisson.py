@@ -14,7 +14,13 @@ The operators here refuse direct quadrature above r = 1 - 1e-6; past that
 only the boundary expansions are meaningful.  The covariance kernel reads one
 such integral, the Herglotz transform Phi of the spectral measure
 (``herglotz``): K(z, z) = Re Phi(z) / (1 - |z|^2), and ``K_offdiag`` off the
-diagonal.
+diagonal.  Where the density is a trig wave plus levels (``wave_and_arcs``),
+``_herglotz_plan`` gives Phi and Phi' over arrays in closed form instead: the wave
+2 pi (2 sum_(n>=0) c_n z^n - c_0), a level L on the arc (a, b)
+L[((b - a) mod 2 pi) - 2i (Log(1 - z e^(-ib)) - Log(1 - z e^(-ia)))] and an atom
+m (e^(it) + z)/(e^(it) - z).  The cell counts of :mod:`.experiments` read it; the
+quadrature stays its oracle, the route of ``rho1_ek_numeric`` and ``K_offdiag``, and
+the fallback for a density without a plan.
 """
 
 from __future__ import annotations
@@ -204,6 +210,31 @@ def herglotz(F: SpectralMeasure, z: complex) -> tuple[complex, complex]:
     phi_z = np.sum(mass * ((1.0 - r) * (1.0 + r) - 2j * r * sn) / ((1.0 - r) ** 2 + 2.0 * r * x))
     dphi_z = 2.0 * np.sum(mass * (d + r) / d**2) * cmath.exp(-1j * pt.phi)
     return complex(phi_z), complex(dphi_z)
+
+
+def _herglotz_plan(F: SpectralMeasure, z):
+    """(Phi, Phi') over the array z in closed form (module docstring), or None without a
+    plan.  A level is summed in the frame of z, u = s - arg z wrapped to [-pi, pi), as
+    L[pi (sg(b) - sg(a) + 2 [u(b) <= u(a)]) - 2i (Log v(b) - Log v(a))], sg = copysign(1, u),
+    v = (1 + r)|sin(u/2)| - i sg (1 - r) cos(u/2), |v| = |e^(is) - z|: with the multiples
+    of pi apart, Re Phi keeps its relative precision in a gap, where it is O(1 - r)."""
+    plan = ((0j,), ()) if F.density is None else F.density.wave_and_arcs()
+    if plan is None:
+        return None
+    z, wave = np.asarray(z, dtype=complex), np.polynomial.Polynomial(plan[0][len(plan[0]) // 2:])
+    phi, dphi = TWOPI * (2.0 * wave(z) - wave.coef[0]), 2.0 * TWOPI * wave.deriv()(z)
+    r, arg = np.abs(z), np.angle(z)
+    for lo, hi, level in plan[1]:
+        u = np.remainder(np.subtract.outer((lo, hi), arg) + PI, TWOPI) - PI
+        sg = np.copysign(1.0, u)
+        lv = np.log((1.0 + r) * np.abs(np.sin(0.5 * u)) - 1j * sg * (1.0 - r) * np.cos(0.5 * u))
+        phi = phi + level * (PI * (sg[1] - sg[0] + 2.0 * (u[1] <= u[0])) - 2j * (lv[1] - lv[0]))
+        ea, eb = cmath.exp(1j * lo), cmath.exp(1j * hi)
+        dphi = dphi + 2j * level * (1.0 / (eb - z) - 1.0 / (ea - z))
+    for t, m in F.atoms:
+        e = cmath.exp(1j * t)
+        phi, dphi = phi + m * (e + z) / (e - z), dphi + 2.0 * m * e / (e - z) ** 2
+    return phi, dphi
 
 
 def K_offdiag(F: SpectralMeasure, z: complex, w: complex) -> complex:

@@ -16,6 +16,7 @@ import math
 
 import numpy as np
 
+from .continuation import _support
 from .errors import DomainError
 from .periodic import PI, TWOPI, PeriodicFunction, TrigPoly
 from .spectral import SpectralMeasure
@@ -76,6 +77,8 @@ def mix(*weighted) -> SpectralMeasure:
             part = w * F.density
             dens = part if dens is None else dens + part
         out_atoms.extend((t, w * m) for t, m in F.atoms)
+    if dens is not None and min(w for w, _ in weighted) < 0.0:
+        _support(dens)  # DomainError where a negative weight leaves the density negative
     label = "mix:" + "+".join(f"{w:g}*{F.label or '?'}" for w, F in weighted)
     return SpectralMeasure(density=dens, atoms=tuple(out_atoms), label=label)
 
@@ -92,7 +95,9 @@ def random_trig_density(seed: int, degree: int = 4) -> SpectralMeasure:
     spec = np.convolve(g, np.conj(g)[::-1])  # coefficients of |G|^2, k=-d..d
     spec[degree] += 0.05 * np.abs(spec).sum()
     spec = spec / (TWOPI * spec[degree].real)
-    dens = PeriodicFunction.from_trig(*TrigPoly(spec).cos_sin_coeffs())
+    spec[degree] = spec[degree].real
+    spec[:degree] = np.conj(spec[:degree:-1])  # Hermitian: a real density
+    dens = PeriodicFunction.from_trigpoly(TrigPoly(spec))
     return SpectralMeasure(density=dens, label=f"randtrig:seed={seed},degree={degree}")
 
 

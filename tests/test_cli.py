@@ -215,6 +215,27 @@ def test_exit_code_domain_error(capsys):
     assert code == 2 and out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ("asymptote", "--phi", "0"), ("density", "--r", "0.5"), ("continuation", "--r", "0.5"),
+], ids=["asymptote", "density", "continuation"])
+def test_mix_with_a_negative_density_is_refused(capsys, argv):
+    # 2/(2 pi) - 1/2 < 0 on (-1, 1)
+    code, out, err = run_cli(capsys, argv[0], "--preset",
+                             "mix:2*uniform+-1*indicator:lo=-1,hi=1", *argv[1:])
+    assert code == 2 and out == ""
+    assert "density is negative" in err
+
+
+def test_mix_with_a_negative_weight_and_a_nonnegative_density_is_accepted(capsys):
+    # 1.2/(2 pi) - 0.2 (1 + cos t)/(2 pi) = (1 - 0.2 cos t)/(2 pi), the density of ma1:a=-0.1
+    argv = ["--r", "0.5", "--phi", "1"]
+    code, out, _ = run_cli(capsys, "density", "--preset", "mix:1.2*uniform+-0.2*ma1:a=0.5", *argv)
+    assert code == 0
+    assert parse_kv(out)["rho1"] == "0.5623271458952376"
+    _, ref, _ = run_cli(capsys, "density", "--preset", "ma1:a=-0.1", *argv)
+    assert float(parse_kv(out)["rho1"]) == pytest.approx(float(parse_kv(ref)["rho1"]), rel=1e-12)
+
+
 def test_exit_code_precision_error(capsys):
     code, _, err = run_cli(capsys, "density", "--preset", "uniform",
                            "--r", "0.99999999")

@@ -18,6 +18,8 @@ from gafzeros.sampling import sample_blocks
 from gafzeros.spectral import SpectralMeasure
 from gafzeros.zeros import MAX_DEGREE, annulus, count_region, find_roots
 
+from conftest import step_trig_atom_measures
+
 
 def small_config(**kw):
     base = dict(F=presets.uniform(), N=120, replicas=12, r_bins=3, phi_bins=4,
@@ -227,26 +229,6 @@ def test_analytic_counts_refuse_an_underflowed_harmonic_extension():
     F = SpectralMeasure(atoms=((0.0, 1e-200),))
     with pytest.raises(DegenerateDenominator):
         analytic_cell_counts(F, [0.0, 0.5], [0.0, 1.0])
-
-
-@st.composite
-def step_trig_atom_measures(draw):
-    """A step with 2-3 breakpoints and nonnegative levels, plus a random trig
-    density and up to two atoms: every piece differs in a constant only."""
-    nb = draw(st.integers(2, 3))
-    breaks = draw(st.lists(st.floats(-math.pi, math.pi), min_size=nb, max_size=nb,
-                           unique=True).filter(lambda b: min(np.diff(np.sort(b))) > 1e-3))
-    levels = draw(st.lists(st.floats(0.0, 2.0), min_size=nb, max_size=nb).filter(
-        lambda v: max(v) > 0.1))
-    dens = PeriodicFunction.step(breaks, levels)
-    dens = dens * (1.0 / dens.integrals([-math.pi, math.pi])[0].real)
-    if draw(st.booleans()):
-        trig = presets.random_trig_density(draw(st.integers(0, 10**6)), degree=3)
-        dens = 0.5 * dens + 0.5 * trig.density
-    n_atoms = draw(st.integers(0, 2))
-    atoms = tuple((t, 0.2) for t in draw(st.lists(st.floats(-math.pi, math.pi),
-                                                   min_size=n_atoms, max_size=n_atoms)))
-    return SpectralMeasure(density=dens * (1.0 - 0.2 * n_atoms), atoms=atoms)
 
 
 def _edges(draw, lo, hi, n):

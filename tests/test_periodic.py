@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gafzeros.errors import DomainError
-from gafzeros.periodic import (SIN, PeriodicFunction, TrigPoly,
+from gafzeros.periodic import (COS, SIN, PeriodicFunction, TrigPoly,
                                divide_by_one_minus_cos, mean, one_minus_cos,
                                panel_nodes, t_operator, wrap_angle, wrap_scalar)
 
@@ -42,9 +42,10 @@ def test_trig_eval_and_coeffs():
     h = PeriodicFunction.from_trig([1.0, 0.5, 0.0, 2.0], [0.0, 0.0, 0.25])
     expect = 1 + 0.5 * np.cos(S_GRID) + 2 * np.cos(3 * S_GRID) + 0.25 * np.sin(2 * S_GRID)
     assert np.allclose(h(S_GRID), expect, atol=1e-14)
-    a, b = h.trig.cos_sin_coeffs()
-    assert np.allclose(a, [1.0, 0.5, 0.0, 2.0])
-    assert np.allclose(b, [0.0, 0.0, 0.25, 0.0])
+    # a_k cos ks + b_k sin ks has c_0 = a_0 and c_(+-k) = (a_k -+ i b_k)/2
+    c = np.array([h.trig.coefficient(k) for k in range(-3, 4)])
+    assert np.allclose(c[3:], [1.0, 0.25, -0.125j, 1.0])
+    assert np.array_equal(c[:3], np.conj(c[:3:-1]))
 
 
 def test_periodicity_at_pm_pi():
@@ -194,15 +195,16 @@ def test_t_squared_at_zero_matches_derivatives():
 def test_divide_by_one_minus_cos_spectrum():
     tp = TrigPoly.from_cos_sin([1.0, 0.0, 1.0])  # 1 + cos 2s
     q = divide_by_one_minus_cos(tp, 2.0)
-    a, b = q.cos_sin_coeffs()
-    assert np.allclose(a, [-2.0, -2.0])
-    assert np.max(np.abs(b)) == 0.0
+    c = np.array([q.coefficient(k) for k in (-1, 0, 1)])  # -2 - 2 cos s
+    assert q.degree == 1
+    assert np.allclose(c, [-1.0, -2.0, -1.0])
+    assert np.max(np.abs(c.imag)) == 0.0
 
 
 def test_product_with_cos_sin():
     h = PeriodicFunction.from_trig([1.0, 0.5])
-    hc = h.times_cos()
-    hs = h.times_sin()
+    hc = h * COS
+    hs = h * SIN
     assert np.allclose(hc(S_GRID), (1 + 0.5 * np.cos(S_GRID)) * np.cos(S_GRID), atol=1e-14)
     assert np.allclose(hs(S_GRID), (1 + 0.5 * np.cos(S_GRID)) * np.sin(S_GRID), atol=1e-14)
 

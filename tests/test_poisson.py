@@ -8,9 +8,12 @@ from hypothesis import strategies as st
 
 from gafzeros import presets
 from gafzeros.errors import DomainError, PrecisionError
-from gafzeros.periodic import PeriodicFunction, mean, panel_nodes, wrap_angle
+from gafzeros.periodic import COS, SIN, PeriodicFunction, mean, panel_nodes, wrap_angle
 from gafzeros.poisson import (R_CEILING, AuxValues, K_offdiag, KernelPoint, P_op, Q_op,
-                              aux_ops, graded_edges, herglotz, poisson_kernel)
+                              _herglotz_plan, aux_ops, graded_edges, herglotz, poisson_kernel)
+from gafzeros.spectral import SpectralMeasure
+
+from conftest import step_trig_atom_measures
 
 ONE = PeriodicFunction.constant(1.0)
 X = PeriodicFunction.from_trig([1.0, -1.0])  # 1 - cos s
@@ -114,10 +117,8 @@ def test_symmetry_filtering():
     f = PeriodicFunction.from_trig([1.0, 0.3, 0.1], [0.0, 0.4, -0.2])
     for r in (0.5, 0.95):
         assert Q_op(f, r) == pytest.approx(Q_op(f.hat(), r), rel=1e-12)
-        assert Q_op(f.times_cos(), r) == pytest.approx(
-            Q_op(f.hat().times_cos(), r), rel=1e-12)
-        assert Q_op(f.times_sin(), r) == pytest.approx(
-            Q_op(f.check().times_sin(), r), rel=1e-12)
+        assert Q_op(f * COS, r) == pytest.approx(Q_op(f.hat() * COS, r), rel=1e-12)
+        assert Q_op(f * SIN, r) == pytest.approx(Q_op(f.check() * SIN, r), rel=1e-12)
 
 
 def test_harmonic_extension_uniform():
@@ -179,6 +180,51 @@ def test_herglotz_closed_forms():
             phi, dphi = herglotz(presets.atoms([(t, 1.0)]), z)
             assert phi == pytest.approx((e + z) / (e - z), rel=1e-13)
             assert dphi == pytest.approx(2 * e / (e - z) ** 2, rel=1e-13)
+
+
+HALF_CIRCLE = presets.indicator(-math.pi / 2, math.pi / 2)
+DISK_POINTS = st.builds(cmath.rect, st.floats(0.0, R_CEILING), st.floats(-4.0, 4.0)).filter(
+    lambda z: abs(z) <= R_CEILING)
+
+
+@settings(max_examples=60, deadline=None)
+@given(step_trig_atom_measures(), st.lists(DISK_POINTS, min_size=1, max_size=6))
+@example(presets.uniform(), [0.0, 0.5j, -0.999999, 1j * R_CEILING])
+@example(HALF_CIRCLE, [-0.9, -R_CEILING, cmath.rect(0.9999, 2.0), cmath.rect(0.99999, -2.5)])
+@example(presets.mix((0.5, presets.uniform()), (0.5, presets.atoms([(0.0, 1.0)]))),
+         [0.999999, cmath.rect(0.9999, 0.01), -0.5])
+def test_closed_form_herglotz_matches_the_quadrature(F, points):
+    # the quadrature's own error grows like 1/y: on uniform at r = 1 - 1e-6 its Phi'
+    # reads 1.2e-10 where the exact value is 0
+    phi, dphi = _herglotz_plan(F, np.array(points))
+    for z, p, dp in zip(points, phi, dphi):
+        want, dwant = herglotz(F, z)
+        y = 1.0 - abs(z) ** 2
+        assert abs(p - want) <= 1e-14 * max(1.0, abs(want)) / y
+        assert abs(dp - dwant) <= 1e-14 * max(1.0, abs(dwant)) / y
+
+
+@pytest.mark.parametrize("F", [
+    presets.uniform(), presets.atoms([(1.0, 1.0)]), HALF_CIRCLE, presets.random_trig_density(3),
+    SpectralMeasure(density=PeriodicFunction.from_trig([1.0, 0.6])
+                    * PeriodicFunction.step([-1.0, 1.0], [1.0, 0.25])),
+    SpectralMeasure(density=PeriodicFunction.from_callable(lambda s: 1.0 + 0.5 * np.cos(s) ** 3)),
+], ids=["uniform", "atom", "half_circle", "trig", "trig_times_step", "callable"])
+def test_closed_form_herglotz_exists_exactly_with_a_plan(F):
+    plan = F.density is None or F.density.wave_and_arcs() is not None
+    assert (_herglotz_plan(F, np.array([0.3j, 0.5])) is not None) == plan
+
+
+def test_closed_form_herglotz_of_uniform_and_in_a_gap():
+    z = np.array([0.0, 0.3 + 0.4j, -0.99, R_CEILING])
+    phi, dphi = _herglotz_plan(presets.uniform(), z)
+    assert np.all(dphi == 0.0)
+    assert np.allclose(phi, 1.0, rtol=0.0, atol=1e-15)
+    # the half circle's Poisson integral at -r, facing its gap, is (4/pi) atan((1 - r)/(1 + r)):
+    # O(1 - r), kept to full relative precision (a difference of logs loses eps/(1 - r))
+    r = np.array([0.5, 0.9, 0.999, 0.999999, R_CEILING])
+    b = _herglotz_plan(HALF_CIRCLE, -r)[0].real
+    assert np.allclose(b, 4.0 / math.pi * np.arctan((1.0 - r) / (1.0 + r)), rtol=1e-14, atol=0.0)
 
 
 def _K_offdiag_two_centre(F, z, w):
