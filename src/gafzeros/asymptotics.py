@@ -8,10 +8,15 @@ rational combinations of those functionals.
 
 A density slice g enters through its even and odd parts ghat and gcheck.
 T(ghat cos) = T ghat - ghat exactly, so I(T^2(ghat cos)) = I(T^2 ghat) - I(T ghat).
+
+For a density that is one trig polynomial, ``rho1_boundary`` reads the same
+functionals off the boundary jet of the Herglotz transform Phi at e^(i phi)
+instead (``_jet_functionals``), since Re Phi(e^(i(phi + s))) = g(s).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -20,7 +25,7 @@ import numpy as np
 
 from .errors import DegenerateDenominator, DomainError
 from .periodic import COS, PI, SIN, PeriodicFunction, mean, t_operator, wrap_angle
-from .poisson import P_op, aux_ops
+from .poisson import P_op, _wave_jet, aux_ops
 from .spectral import SpectralMeasure
 
 __all__ = [
@@ -124,6 +129,21 @@ def _slice_functionals(g: PeriodicFunction) -> dict[str, float]:
     }
 
 
+def _jet_functionals(wave, phi: float) -> dict[str, float]:
+    """``_slice_functionals`` of the slice at phi of the trig wave with spectrum
+    ``wave``, from the jet of its Phi at w = e^(i phi), a_k = w^k Phi^(k)(w):
+    g0 = Re Phi, I(T ghat) = -Re a1, g'(0) = -Im a1, g''(0) = -Re(a1 + a2),
+    I(T^2 ghat) = Re a2 + Re a3 / 3 and I(T^2(gcheck sin)) = Im a2 + Im a1."""
+    w = cmath.exp(1j * phi)
+    p0, p1, p2, p3 = _wave_jet(wave, w, 3)
+    a1, a2, a3 = w * p1, w * w * p2, w * w * w * p3
+    i1, i2 = -a1.real, a2.real + a3.real / 3.0
+    f = {"g0": p0.real, "g2": -(a1 + a2).real, "gc1": -a1.imag, "I_Tgh": i1,
+         "I_T2gh": i2, "I_T2ghcos": i2 - i1, "I_T2gcsin": a2.imag + a1.imag}
+    # + 0.0 turns a -0.0 into the 0.0 that the T chain gives
+    return {name: v + 0.0 for name, v in f.items()}
+
+
 def expand_S(g: PeriodicFunction) -> ExpansionReport:
     """Expansion of the intensity numerator for a density slice g.
 
@@ -195,18 +215,32 @@ def rho1_boundary(F: SpectralMeasure, phi: float):
     * case iii (double zero):     a flat profile whose height is a ratio of
       averaged double quotients.
 
+    A density without breakpoints (``uniform``, ``ma1``, ``random_trig_density``,
+    a callable's trig fit) gives its functionals from the boundary jet of its
+    Herglotz transform (``_jet_functionals``), without building the slice and
+    its T chain.  A density with breakpoints keeps the T chain, which holds
+    case iii to 1.2e-10 at 1e-6 rad from a jump; the jet of a level's
+    logarithms has not been checked that close to its ends.
+
     Atoms enter the averaged quotients, and so the deficit, in closed form:
     an atom m at angle u from phi, x = 1 - cos u, adds m/x to I(T ghat),
     m/x^2 to I(T^2 ghat), m cos u/x^2 to I(T^2(ghat cos)) and m sin u/x^2 to
     I(T^2(gcheck sin)).  An atom within 1e-9 of phi raises DomainError, as a
-    jump does.
+    jump does, and so does a non-finite phi.
     """
     if F.density is None:
         raise DomainError("boundary expansion requires a density")
-    g = F.relative_density(float(phi))
-    if not g.smooth_at_zero:
-        raise DomainError("density slice has a breakpoint at the boundary direction")
-    f = _slice_functionals(g)
+    phi = float(phi)
+    if not math.isfinite(phi):
+        raise DomainError(f"boundary direction {phi!r} is not finite")
+    plan = None if F.density.breakpoints.size else F.density.wave_and_arcs()
+    if plan is not None:
+        f = _jet_functionals(plan[0], phi)
+    else:
+        g = F.relative_density(phi)
+        if not g.smooth_at_zero:
+            raise DomainError("density slice has a breakpoint at the boundary direction")
+        f = _slice_functionals(g)
     for t, m in F.atoms:
         u = float(wrap_angle(t - phi))
         if abs(u) < 1e-9:

@@ -20,7 +20,9 @@ diagonal.  Where the density is a trig wave plus levels (``wave_and_arcs``),
 L[((b - a) mod 2 pi) - 2i (Log(1 - z e^(-ib)) - Log(1 - z e^(-ia)))] and an atom
 m (e^(it) + z)/(e^(it) - z).  The cell counts of :mod:`.experiments` read it; the
 quadrature stays its oracle, the route of ``rho1_ek_numeric`` and ``K_offdiag``, and
-the fallback for a density without a plan.
+the fallback for a density without a plan.  ``_wave_jet`` evaluates the wave and its
+derivatives by Horner's rule, on |z| = 1 too: the boundary expansions of
+:mod:`.asymptotics` read its first three derivatives at e^(i phi).
 """
 
 from __future__ import annotations
@@ -212,6 +214,21 @@ def herglotz(F: SpectralMeasure, z: complex) -> tuple[complex, complex]:
     return complex(phi_z), complex(dphi_z)
 
 
+def _wave_jet(wave, z, order: int) -> list:
+    """[Phi, Phi', ..., Phi^(order)] of the trig wave with spectrum ``wave`` (k = -d..d)
+    at z, a complex or an array: Phi = 2 pi (2 sum_(n>=0) c_n z^n - c_0), by Horner's
+    rule carrying the derivatives; defined on |z| = 1 too."""
+    c = wave[len(wave) // 2:]
+    jet = [0j] * (order + 1)
+    for a in reversed(c):
+        for k in range(order, 0, -1):
+            jet[k] = jet[k] * z + jet[k - 1]
+        jet[0] = jet[0] * z + a
+    # jet[k] = p^(k)(z) / k! for p(z) = sum_(n>=0) c_n z^n
+    return [TWOPI * (2.0 * jet[0] - c[0]),
+            *(2.0 * TWOPI * math.factorial(k) * jet[k] for k in range(1, order + 1))]
+
+
 def _herglotz_plan(F: SpectralMeasure, z):
     """(Phi, Phi') over the array z in closed form (module docstring), or None without a
     plan.  A level is summed in the frame of z, u = s - arg z wrapped to [-pi, pi), as
@@ -221,8 +238,8 @@ def _herglotz_plan(F: SpectralMeasure, z):
     plan = ((0j,), ()) if F.density is None else F.density.wave_and_arcs()
     if plan is None:
         return None
-    z, wave = np.asarray(z, dtype=complex), np.polynomial.Polynomial(plan[0][len(plan[0]) // 2:])
-    phi, dphi = TWOPI * (2.0 * wave(z) - wave.coef[0]), 2.0 * TWOPI * wave.deriv()(z)
+    z = np.asarray(z, dtype=complex)
+    phi, dphi = _wave_jet(plan[0], z, 1)
     r, arg = np.abs(z), np.angle(z)
     for lo, hi, level in plan[1]:
         u = np.remainder(np.subtract.outer((lo, hi), arg) + PI, TWOPI) - PI

@@ -68,6 +68,8 @@ def atoms(pairs) -> SpectralMeasure:
 def mix(*weighted) -> SpectralMeasure:
     """Convex combination of measures given as (weight, measure) pairs."""
     weighted = [(float(w), F) for w, F in weighted]
+    if not all(math.isfinite(w) for w, _ in weighted):
+        raise DomainError("mix weights must be finite")
     if abs(math.fsum(w for w, _ in weighted) - 1.0) > 1e-10:
         raise DomainError("mix weights must sum to 1")
     dens = None
@@ -161,8 +163,8 @@ def parse_preset(text: str) -> SpectralMeasure:
     if text.startswith("atoms:"):
         body = text[len("atoms:"):].strip()
         try:
-            pairs = ast.literal_eval(body)
-        except (ValueError, SyntaxError) as exc:
+            pairs = [(float(t), float(m)) for t, m in ast.literal_eval(body)]
+        except (ValueError, SyntaxError, TypeError) as exc:
             raise DomainError(f"cannot parse atom list {body!r}") from exc
         return atoms(pairs)
     if text.startswith("mix:"):

@@ -33,10 +33,15 @@ class SpectralMeasure:
     label: str = ""
 
     def __post_init__(self):
-        atoms = tuple((float(wrap_angle(t)), float(m)) for t, m in self.atoms)
+        atoms = tuple((float(t), float(m)) for t, m in self.atoms)
+        parts = [np.array(atoms, dtype=float)]
+        if self.density is not None:
+            parts += [self.density.breakpoints, *(p.c for p, _ in self.density.pieces)]
+        if not all(np.isfinite(a).all() for a in parts):
+            raise DomainError("an atom or a density coefficient is not finite")
         if any(m <= 0 for _, m in atoms):
             raise DomainError("atom masses must be positive")
-        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "atoms", tuple((float(wrap_angle(t)), m) for t, m in atoms))
 
     @property
     def atom_mass(self) -> float:

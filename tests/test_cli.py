@@ -226,6 +226,29 @@ def test_mix_with_a_negative_density_is_refused(capsys, argv):
     assert "density is negative" in err
 
 
+@pytest.mark.parametrize("preset", [
+    "ma1:a=nan", "mix:nan*uniform+nan*ma1:a=0.3", "atoms:5",
+    "mix:0.5*uniform+0.5*atoms:[(1e999,1)]",
+])
+@pytest.mark.parametrize("argv", [
+    ("asymptote", "--phi", "0"), ("density", "--r", "0.5"), ("continuation", "--r", "0.5"),
+], ids=["asymptote", "density", "continuation"])
+def test_malformed_or_non_finite_presets_are_refused(capsys, argv, preset):
+    # refused where the measure is built; an atom at 1e999 gave a case-i expansion
+    code, out, err = run_cli(capsys, argv[0], "--preset", preset, *argv[1:])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("phi", ["nan", "inf"])
+@pytest.mark.parametrize("preset", ["uniform", "ma1:a=0.5", "indicator:lo=-1,hi=2"])
+def test_non_finite_direction_is_refused(capsys, preset, phi):
+    # the jet of a trig density would carry a nan direction into case iii
+    code, out, err = run_cli(capsys, "asymptote", "--preset", preset, "--phi", phi)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
 def test_mix_with_a_negative_weight_and_a_nonnegative_density_is_accepted(capsys):
     # 1.2/(2 pi) - 0.2 (1 + cos t)/(2 pi) = (1 - 0.2 cos t)/(2 pi), the density of ma1:a=-0.1
     argv = ["--r", "0.5", "--phi", "1"]

@@ -225,6 +225,22 @@ def test_analytic_counts_refuse_malformed_edges(r_edges, phi_edges):
         analytic_cell_counts(presets.uniform(), r_edges, phi_edges)
 
 
+def test_analytic_cells_skip_numpy_polynomial():
+    import os
+    import subprocess
+    import sys
+
+    import gafzeros
+    src = os.path.dirname(os.path.dirname(gafzeros.__file__))
+    code = ("import sys, numpy as np; from gafzeros import presets; "
+            "from gafzeros.experiments import analytic_cell_counts; "
+            "analytic_cell_counts(presets.ma1(0.3), np.linspace(0, 0.95, 7), "
+            "np.linspace(-np.pi, np.pi, 9)); print('numpy.polynomial' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "False"
+
+
 def test_analytic_counts_refuse_an_underflowed_harmonic_extension():
     F = SpectralMeasure(atoms=((0.0, 1e-200),))
     with pytest.raises(DegenerateDenominator):

@@ -157,6 +157,36 @@ def test_discretization_bias_documented_bound():
             assert abs(mean_hat - covariance(F, k)) <= bound
 
 
+HALF_CIRCLE = "indicator:lo=-1.5707963267948966,hi=1.5707963267948966"
+
+
+@pytest.mark.parametrize("text, lags", [(HALF_CIRCLE, (1, 2, 3, 51, 52, 399)),
+                                        ("ma1:a=0.5", (1, 2))])
+def test_grid_bias_law(text, lags):
+    # the covariances converge to the grid's sum_j w_j exp(-i k t_j), which is off
+    # gamma(k) by (pi k / M)^2 / 6 relative where the density is smooth on each cell
+    F = presets.parse_preset(text)
+    M = 4096
+    t, w = spectral_nodes(F, M)
+    checked = []
+    for k in lags:
+        gamma = covariance(F, k)
+        if abs(gamma) < 1e-12:
+            continue
+        off = abs(np.sum(w * np.exp(-1j * k * t)) / gamma - 1.0)
+        assert off == pytest.approx((math.pi * k / M) ** 2 / 6, rel=0.05), k
+        checked.append(k)
+    assert checked == [k for k in lags if k % 2]
+
+
+def test_sample_blocks_refuse_a_bad_replica_count():
+    F = presets.uniform()
+    for bad in (-3, 2.5, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            sample_blocks(F, 16, bad, 1)
+    assert sample_blocks(F, 16, 0, 1) == []
+
+
 def test_radius_check_deterministic_block():
     blk = CoefficientBlock(values=np.ones(129, dtype=complex), seed=0,
                            F_label="ones", grid_size=0)

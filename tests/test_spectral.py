@@ -79,6 +79,21 @@ def test_callable_density_is_its_shift_and_mix():
         assert classify_arcs(G) == classify_arcs(F) == [Arc(-math.pi, math.pi, "singular")]
 
 
+def test_non_finite_measures_are_refused():
+    nan, inf = math.nan, math.inf
+    for build in (lambda: SpectralMeasure(density=PeriodicFunction.constant(nan)),
+                  lambda: SpectralMeasure(density=PeriodicFunction.constant(inf)),
+                  lambda: SpectralMeasure(atoms=((0.0, nan),)),
+                  lambda: presets.atoms([(0.0, nan)]),
+                  lambda: presets.atoms([(inf, 1.0)]),
+                  lambda: presets.ma1(nan),
+                  lambda: presets.mix((nan, presets.uniform()), (nan, presets.ma1(0.3))),
+                  lambda: presets.parse_preset("atoms:5"),
+                  lambda: presets.parse_preset("atoms:[(1j,1)]")):
+        with pytest.raises(DomainError):
+            build()
+
+
 def test_covariance_uniform():
     U = presets.uniform()
     assert covariance(U, 0) == pytest.approx(1.0, abs=1e-14)
