@@ -301,8 +301,11 @@ class PeriodicFunction:
     @classmethod
     def step(cls, breakpoints: Sequence[float], values: Sequence[float]):
         """Piecewise constant; ``values[i]`` covers (breakpoints[i-1], breakpoints[i]]
-        cyclically."""
-        breaks = wrap_angle(np.asarray(breakpoints, dtype=float))
+        cyclically.  DomainError for a non-finite breakpoint."""
+        breaks = np.asarray(breakpoints, dtype=float)
+        if not np.all(np.isfinite(breaks)):
+            raise DomainError(f"breakpoints must be finite, got {breaks.tolist()}")
+        breaks = wrap_angle(breaks)
         vals = np.asarray(values, dtype=float)
         if breaks.size != vals.size or not breaks.size:
             raise ValueError("need one value per breakpoint")

@@ -6,10 +6,11 @@ r -> 1.  Every operator therefore integrates on one rule, ``_kernel_nodes``:
 32-point Gauss-Legendre on panels with edges -pi, pi, the integrand's
 breakpoints, each kernel center c and c +- delta 2^j for every delta 2^j < 2 pi,
 delta = max((1-r)/floor, 1e-12) with floor 16; all wrapped to (-pi, pi] and
-merged within 1e-13.  The variance integrals of :mod:`.continuation` grade
-the same way with ratio 8 (c +- delta 8^j), floor 16 sqrt(k_max + 1), toward
-the local maxima of their integrand over the support; their logs are checked
-to 2.5e-14 max(1, |log var_k|) up to r = 1 - 1e-9 (``_log_weights`` there).
+merged within 1e-13, into a breakpoint where one is near.  The variance
+integrals of :mod:`.continuation` grade the same way with ratio 8
+(c +- delta 8^j), floor 16 sqrt(k_max + 1), toward the local maxima of their
+integrand over the support; their logs are checked to 2.5e-14 max(1, |log var_k|)
+up to r = 1 - 1e-9 (``_log_weights`` there).
 The operators here refuse direct quadrature above r = 1 - 1e-6; past that
 only the boundary expansions are meaningful.  The covariance kernel reads one
 such integral, the Herglotz transform Phi of the spectral measure
@@ -111,11 +112,13 @@ def graded_edges(r: float, breakpoints=(), centers=(0.0,), floor_scale=GRADING_F
 
     Edges: -pi, pi, the breakpoints, each center c and c +- delta q^j for all
     j >= 0 with delta q^j < 2 pi, delta = max((1-r)/floor_scale, 1e-12), all
-    wrapped to (-pi, pi]; sorted, an edge within 1e-13 of the last kept edge
-    is merged into it.  The ratio q = ``_ratio`` is a power of two, so each
-    offset is exact (``math.ldexp``): 2 for the kernel rule, 8 for the
-    variance rule (``continuation._log_weights``, which states its checked
-    accuracy).  Edges are plain floats, bit for bit those of ``wrap_angle``.
+    wrapped to (-pi, pi].  Sorted, -pi, pi and every breakpoint are kept, so no
+    panel straddles a jump; another edge within 1e-13 of a breakpoint, of -pi or
+    pi, or of the last kept edge is merged into it.  The ratio q = ``_ratio`` is
+    a power of two, so each offset is exact (``math.ldexp``): 2 for the kernel
+    rule, 8 for the variance rule (``continuation._log_weights``, which states
+    its checked accuracy).  Edges are plain floats, bit for bit those of
+    ``wrap_angle``.
     """
     delta = max((1.0 - r) / floor_scale, 1e-12)
     shift = _ratio.bit_length() - 1  # q = 2^shift
@@ -125,18 +128,22 @@ def graded_edges(r: float, breakpoints=(), centers=(0.0,), floor_scale=GRADING_F
         step = math.ldexp(step, shift)
     # + 0.0 turns a -0.0 into the 0.0 that wrap_angle gives
     cs = [wrap_scalar(float(c)) + 0.0 for c in centers]
-    edges = [-PI, PI, *cs, *(wrap_scalar(float(b)) + 0.0 for b in breakpoints)]
+    fixed = {-PI, PI, *(wrap_scalar(float(b)) + 0.0 for b in breakpoints)}
+    edges = [*fixed, *cs]
     for c in cs:
         for step in steps:
             edges.append(wrap_scalar(c - step) + 0.0)
             edges.append(wrap_scalar(c + step) + 0.0)
     edges.sort()
-    merged = [edges[0]]
+    merged = [edges[0]]  # -pi, the least edge
     for p in edges[1:]:
         if p - merged[-1] > 1e-13:
             merged.append(p)
-    # -pi is the least edge and pi lies within 1e-13 of the greatest kept one
-    merged[-1] = PI
+        elif p in fixed:
+            while merged[-1] not in fixed and p - merged[-1] <= 1e-13:
+                merged.pop()
+            if p != merged[-1]:
+                merged.append(p)
     return np.array(merged)
 
 
@@ -231,23 +238,40 @@ def _wave_jet(wave, z, order: int) -> list:
 
 def _herglotz_plan(F: SpectralMeasure, z):
     """(Phi, Phi') over the array z in closed form (module docstring), or None without a
-    plan.  A level is summed in the frame of z, u = s - arg z wrapped to [-pi, pi), as
-    L[pi (sg(b) - sg(a) + 2 [u(b) <= u(a)]) - 2i (Log v(b) - Log v(a))], sg = copysign(1, u),
-    v = (1 + r)|sin(u/2)| - i sg (1 - r) cos(u/2), |v| = |e^(is) - z|: with the multiples
-    of pi apart, Re Phi keeps its relative precision in a gap, where it is O(1 - r)."""
+    plan.  A level L on an arc of width 2h is summed in the frame of z, u = s - arg z
+    wrapped to [-pi, pi), from the ends' half-angle sines and cosines s, c, never as a
+    difference of two logs, which the level (~1/h) would magnify on a narrow arc:
+    with sigma = -1 when the arc wraps past u = pi, else 1,
+
+        Re Phi_L = 2L atan2((1 - r^2) sin h, sigma ((1 + r)^2 s_a s_b + (1 - r)^2 c_a c_b)),
+        Im Phi_L = -L log(|v_b|^2 / |v_a|^2),  |v|^2 = (1 + r)^2 s^2 + (1 - r)^2 c^2,
+        Phi'_L = 4L sin h e^(i(a + h)) / ((e^(ia) - z)(e^(ib) - z)),
+
+    the log as log1p(4 r sigma sin h sin((u_a + u_b)/2) / |v_a|^2) while that argument
+    is under 1/2.  Both terms of the atan2 keep their relative precision, so Re Phi
+    does in a gap too, where it is O(1 - r)."""
     plan = ((0j,), ()) if F.density is None else F.density.wave_and_arcs()
     if plan is None:
         return None
     z = np.asarray(z, dtype=complex)
     phi, dphi = _wave_jet(plan[0], z, 1)
     r, arg = np.abs(z), np.angle(z)
+    y, rp2, rm2 = (1.0 - r) * (1.0 + r), (1.0 + r) ** 2, (1.0 - r) ** 2
     for lo, hi, level in plan[1]:
+        # an arc with hi <= lo wraps past pi; hi == lo is the whole circle
+        h = 0.5 * (hi - lo if hi > lo else (hi + PI) + (PI - lo))
+        sin_h = math.sin(h)
         u = np.remainder(np.subtract.outer((lo, hi), arg) + PI, TWOPI) - PI
-        sg = np.copysign(1.0, u)
-        lv = np.log((1.0 + r) * np.abs(np.sin(0.5 * u)) - 1j * sg * (1.0 - r) * np.cos(0.5 * u))
-        phi = phi + level * (PI * (sg[1] - sg[0] + 2.0 * (u[1] <= u[0])) - 2j * (lv[1] - lv[0]))
+        sigma = np.where(u[1] <= u[0], -1.0, 1.0)
+        sn, cs = np.sin(0.5 * u), np.cos(0.5 * u)
+        va, vb = rp2 * sn[0] ** 2 + rm2 * cs[0] ** 2, rp2 * sn[1] ** 2 + rm2 * cs[1] ** 2
+        x = 4.0 * r * sigma * sin_h * np.sin(0.5 * (u[0] + u[1])) / va
+        near = np.abs(x) < 0.5
+        log_ratio = np.where(near, np.log1p(np.where(near, x, 0.0)), np.log(vb / va))
+        re = 2.0 * np.arctan2(y * sin_h, sigma * (rp2 * sn[0] * sn[1] + rm2 * cs[0] * cs[1]))
+        phi = phi + level * (re - 1j * log_ratio)
         ea, eb = cmath.exp(1j * lo), cmath.exp(1j * hi)
-        dphi = dphi + 2j * level * (1.0 / (eb - z) - 1.0 / (ea - z))
+        dphi = dphi + 4.0 * level * sin_h * cmath.exp(1j * (lo + h)) / ((ea - z) * (eb - z))
     for t, m in F.atoms:
         e = cmath.exp(1j * t)
         phi, dphi = phi + m * (e + z) / (e - z), dphi + 2.0 * m * e / (e - z) ** 2

@@ -28,11 +28,18 @@ fixed (seed, measure, N, grid).  Replica seeds are derived with SplitMix64:
 and the result feeds numpy's PCG64.  Counts produced from these streams are
 reproducible across runs; other languages re-implementing the hash get the
 same replica seeds even though their normal variates will differ.
+
+``sample_blocks`` draws its replicas on up to one thread per usable core, each
+thread a contiguous slice of the seeds; the draws and the product release the
+GIL.  A block's arithmetic is the same on every thread, so its bits do not
+depend on the thread count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,23 +121,35 @@ def _block_machine(F: SpectralMeasure, N: int, grid_size: int | None):
     return M, np.sqrt(w), phases
 
 
-def _draws(seeds, sqrt_w: np.ndarray, phases: np.ndarray):
-    """phases @ (sqrt_w * zeta) per seed, zeta drawn into one reused buffer."""
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _draw_slice(values: list, seeds: list, lo: int, hi: int, sqrt_w: np.ndarray,
+                phases: np.ndarray) -> None:
+    """values[i] = phases @ (sqrt_w * zeta_i) for lo <= i < hi, each zeta_i drawn from
+    seeds[i] into one reused buffer."""
     buf = np.empty((sqrt_w.size, 2))
     zeta = buf.view(complex)[:, 0]
-    for s in seeds:
-        np.random.default_rng(int(s) & _MASK64).standard_normal(out=buf)
+    for i in range(lo, hi):
+        np.random.default_rng(int(seeds[i]) & _MASK64).standard_normal(out=buf)
         zeta /= math.sqrt(2.0)
         zeta *= sqrt_w
-        yield phases @ zeta
+        # np.dot releases the GIL around its BLAS call where numpy 2.4's ``@`` holds it
+        # for this matrix-vector product; both make the same zgemv call, same bits
+        values[i] = np.dot(phases, zeta)
 
 
 def sample_block(F: SpectralMeasure, N: int, seed: int,
                  grid_size: int | None = None) -> CoefficientBlock:
     """Draw one coefficient block (xi_0, ..., xi_N)."""
     M, sqrt_w, phases = _block_machine(F, N, grid_size)
-    values = next(_draws([seed], sqrt_w, phases))
-    return CoefficientBlock(values=values, seed=int(seed), F_label=F.label, grid_size=M)
+    values = [None]
+    _draw_slice(values, [seed], 0, 1, sqrt_w, phases)
+    return CoefficientBlock(values=values[0], seed=int(seed), F_label=F.label, grid_size=M)
 
 
 def sample_blocks(F: SpectralMeasure, N: int, replicas: int, seed: int,
@@ -138,15 +157,41 @@ def sample_blocks(F: SpectralMeasure, N: int, replicas: int, seed: int,
     """Independent replicas with SplitMix64-derived per-replica seeds.
 
     Bit-identical to calling :func:`sample_block` with each derived seed; the
-    node grid, phase matrix and draw buffer are shared across replicas.
-    DomainError for a negative or non-integral ``replicas``; 0 gives [].
+    node grid and phase matrix are shared across replicas.  The replicas are
+    split into min(usable cores, replicas) contiguous slices; the calling thread
+    draws the first and one short-lived thread each of the others, all joined
+    before this returns.  DomainError for a negative or non-integral
+    ``replicas``; 0 gives [].
     """
     if not (replicas >= 0 and float(replicas).is_integer()):
         raise DomainError(f"replica count {replicas!r} is not a nonnegative integer")
     M, sqrt_w, phases = _block_machine(F, N, grid_size)
-    seeds = [replica_seed(seed, i) for i in range(int(replicas))]
+    n = int(replicas)
+    seeds = [replica_seed(seed, i) for i in range(n)]
+    values = [None] * n
+    T = max(1, min(_usable_cores(), n))
+    cuts = [n * j // T for j in range(T + 1)]
+    errors = []
+
+    def work(lo: int, hi: int) -> None:
+        try:
+            _draw_slice(values, seeds, lo, hi, sqrt_w, phases)
+        except BaseException as exc:  # raised again in the calling thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=cuts[j:j + 2]) for j in range(1, T)]
+    try:
+        for t in threads:
+            t.start()
+        _draw_slice(values, seeds, 0, cuts[1], sqrt_w, phases)
+    finally:
+        for t in threads:
+            if t.ident is not None:  # started
+                t.join()
+    if errors:
+        raise errors[0]
     return [CoefficientBlock(values=v, seed=rs, F_label=F.label, grid_size=M)
-            for rs, v in zip(seeds, _draws(seeds, sqrt_w, phases))]
+            for rs, v in zip(seeds, values)]
 
 
 def empirical_covariance(blocks, k: int):

@@ -183,6 +183,13 @@ def test_herglotz_closed_forms():
 
 
 HALF_CIRCLE = presets.indicator(-math.pi / 2, math.pi / 2)
+
+
+def _arc(lo, hi):
+    # unit mass spread evenly on the arc (lo, hi)
+    return SpectralMeasure(density=PeriodicFunction.step([lo, hi], [0.0, 1.0 / (hi - lo)]))
+
+
 DISK_POINTS = st.builds(cmath.rect, st.floats(0.0, R_CEILING), st.floats(-4.0, 4.0)).filter(
     lambda z: abs(z) <= R_CEILING)
 
@@ -193,6 +200,14 @@ DISK_POINTS = st.builds(cmath.rect, st.floats(0.0, R_CEILING), st.floats(-4.0, 4
 @example(HALF_CIRCLE, [-0.9, -R_CEILING, cmath.rect(0.9999, 2.0), cmath.rect(0.99999, -2.5)])
 @example(presets.mix((0.5, presets.uniform()), (0.5, presets.atoms([(0.0, 1.0)]))),
          [0.999999, cmath.rect(0.9999, 0.01), -0.5])
+# narrow arcs of high level, where a difference of two logs cancels
+@example(_arc(0.0, 0.008973633239393548), [0.22379 + 0.4683j])
+@example(_arc(0.0, 0.015625), [-0.10404 + 0.22732j])
+@example(_arc(1.0, 1.0011), [0.0, 0.3j, cmath.rect(0.999, -2.0)])
+# (on an arc from pi/2 the quadrature's rotation into the frame of z = iy is exact)
+@example(_arc(math.pi / 2, math.pi / 2 + 1e-6), [0.5j, 0.9j, 0.999j])
+# a breakpoint within 1e-13 of the quadrature's end edge pi
+@example(_arc(0.0, math.pi - 1e-13), [0.0, 0.5, -0.9j])
 def test_closed_form_herglotz_matches_the_quadrature(F, points):
     # the quadrature's own error grows like 1/y: on uniform at r = 1 - 1e-6 its Phi'
     # reads 1.2e-10 where the exact value is 0
@@ -255,33 +270,27 @@ def test_harmonic_extension_matches_offdiag_on_diagonal():
 
 
 def _graded_edges_oracle(r, breakpoints=(), centers=(0.0,), floor_scale=16.0, ratio=2.0):
-    # reference rule: a set of wrapped edges, sorted, then a greedy merge
+    # reference rule: sets of wrapped edges; -pi, pi and the breakpoints are all kept,
+    # and another edge is kept, walking up, when it lies more than 1e-13 from each of
+    # them and from the last other edge kept
     delta = max((1.0 - r) / floor_scale, 1e-12)
-    edges = {-math.pi, math.pi}
+    fixed = {-math.pi, math.pi}
     for b in np.atleast_1d(np.asarray(breakpoints, dtype=float)):
-        edges.add(float(wrap_angle(b)))
+        fixed.add(float(wrap_angle(b)))
+    free = set()
     for c in centers:
         c = float(wrap_angle(c))
-        edges.add(c)
+        free.add(c)
         d = delta
         while d < 2 * math.pi:
             for p in (c - d, c + d):
-                edges.add(float(wrap_angle(p)))
+                free.add(float(wrap_angle(p)))
             d *= ratio
-    out = sorted(edges)
-    merged = [out[0]]
-    for p in out[1:]:
-        if p - merged[-1] > 1e-13:
-            merged.append(p)
-    if merged[-1] < math.pi - 1e-13:
-        merged.append(math.pi)
-    else:
-        merged[-1] = math.pi
-    if merged[0] > -math.pi + 1e-13:
-        merged.insert(0, -math.pi)
-    else:
-        merged[0] = -math.pi
-    return np.array(merged)
+    kept = []
+    for p in sorted(free):
+        if min(abs(p - f) for f in fixed) > 1e-13 and (not kept or p - kept[-1] > 1e-13):
+            kept.append(p)
+    return np.array(sorted(fixed | set(kept)))
 
 
 _RADII = st.one_of(st.floats(0.0, R_CEILING),

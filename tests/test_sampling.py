@@ -1,9 +1,12 @@
+import hashlib
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from gafzeros import presets
+from gafzeros import presets, sampling
 from gafzeros.errors import DomainError, NormalizationError
 from gafzeros.periodic import PeriodicFunction
 from gafzeros.sampling import (CoefficientBlock, default_grid_size,
@@ -185,6 +188,46 @@ def test_sample_blocks_refuse_a_bad_replica_count():
         with pytest.raises(DomainError):
             sample_blocks(F, 16, bad, 1)
     assert sample_blocks(F, 16, 0, 1) == []
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3, 8])
+def test_threaded_blocks_are_bit_identical_to_single_draws(monkeypatch, cores):
+    # 37 replicas split unevenly; 8 slices is more threads than this box has cores
+    monkeypatch.setattr(sampling, "_usable_cores", lambda: cores)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for F in (presets.ma1(0.3), presets.atoms([(0.0, 0.5), (math.pi, 0.5)])):
+            alive = threading.active_count()
+            blocks = sample_blocks(F, 16, 37, seed=11)
+            assert threading.active_count() == alive
+            for i, blk in enumerate(blocks):
+                solo = sample_block(F, 16, replica_seed(11, i))
+                assert blk.seed == solo.seed
+                assert blk.values.tobytes() == solo.values.tobytes()
+        digest = hashlib.sha1()
+        for blk in sample_blocks(presets.ma1(0.3), 16, 64, seed=5):
+            digest.update(blk.values.tobytes())
+        # recorded from the single-threaded sampler
+        assert digest.hexdigest() == "1cad3b4d0c8a1729fadcea4864316642d167a9bf"
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_worker_error_reaches_the_caller(monkeypatch):
+    draw = sampling._draw_slice
+
+    def failing(values, seeds, lo, hi, sqrt_w, phases):
+        if lo > 0:
+            raise FloatingPointError(f"slice at {lo}")
+        draw(values, seeds, lo, hi, sqrt_w, phases)
+
+    monkeypatch.setattr(sampling, "_usable_cores", lambda: 3)
+    monkeypatch.setattr(sampling, "_draw_slice", failing)
+    alive = threading.active_count()
+    with pytest.raises(FloatingPointError, match="slice at"):
+        sample_blocks(presets.uniform(), 16, 9, seed=1)
+    assert threading.active_count() == alive
 
 
 def test_radius_check_deterministic_block():

@@ -89,7 +89,8 @@ def test_non_finite_measures_are_refused():
                   lambda: presets.ma1(nan),
                   lambda: presets.mix((nan, presets.uniform()), (nan, presets.ma1(0.3))),
                   lambda: presets.parse_preset("atoms:5"),
-                  lambda: presets.parse_preset("atoms:[(1j,1)]")):
+                  lambda: presets.parse_preset("atoms:[(1j,1)]"),
+                  lambda: PeriodicFunction.step([0.0, inf], [1.0, 2.0])):
         with pytest.raises(DomainError):
             build()
 
