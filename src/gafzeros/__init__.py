@@ -23,8 +23,8 @@ from .experiments import (ExperimentConfig, RadialProfile, analytic_cell_counts,
 from .intensity import (rho1, rho1_closed_form, rho1_ek_numeric, rho1_qform,
                         rho1_spectral, sr_positive_form, sr_value)
 from .periodic import PeriodicFunction, TrigPoly, mean
-from .poisson import (AuxValues, K_offdiag, KernelPoint, P_op, Q_op, aux_ops,
-                      herglotz, poisson_kernel)
+from .poisson import (AuxValues, K_offdiag, P_op, Q_op, aux_ops, herglotz,
+                      poisson_kernel)
 from .presets import (atoms, indicator, ma1, mix, parse_preset,
                       random_trig_density, uniform)
 from .sampling import (CoefficientBlock, empirical_covariance, radius_check,

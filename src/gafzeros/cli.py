@@ -8,15 +8,16 @@ Angles are radians throughout.
 from __future__ import annotations
 
 import argparse
+import cmath
 import sys
 
 from . import presets
 from .asymptotics import rho1_boundary
 from .continuation import arc_radius_bound, continuation_report
-from .errors import GafError, PrecisionError
+from .errors import DomainError, GafError, PrecisionError
 from .experiments import ExperimentConfig, emit_profile, profile_csv, run_experiment
 from .intensity import ROUTES, rho1
-from .poisson import KernelPoint
+from .periodic import wrap_angle
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -33,15 +34,19 @@ def _emit(key, value):
 def cmd_density(args) -> int:
     F = presets.parse_preset(args.preset)
     if args.z:
-        pt = KernelPoint.from_z(complex(args.z))
+        z = complex(args.z)
+        r, phi = abs(z), cmath.phase(z) if z else 0.0
     elif args.r is not None:
-        pt = KernelPoint.from_polar(args.r, args.phi)
+        r, phi = args.r, float(wrap_angle(args.phi))
+        z = r * cmath.exp(1j * args.phi)
     else:
         raise ValueError("give either --z or --r (with optional --phi)")
-    value = rho1(F, pt.z, method=args.method)
+    if not 0.0 <= r < 1.0:
+        raise DomainError(f"radius {r} is not in [0, 1)")
+    value = rho1(F, z, method=args.method)
     _emit("preset", args.preset)
-    _emit("r", float(pt.r))
-    _emit("phi", float(pt.phi))
+    _emit("r", float(r))
+    _emit("phi", float(phi))
     _emit("method", args.method)
     _emit("rho1", float(value))
     return EXIT_OK

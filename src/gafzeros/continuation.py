@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PrecisionError, TailWarning
-from .periodic import PI, TWOPI, one_minus_cos, panel_nodes, wrap_angle
+from .periodic import _ZERO_TOL, PI, TWOPI, one_minus_cos, panel_nodes, wrap_angle
 from .poisson import graded_edges
 from .spectral import SpectralMeasure
 
@@ -58,7 +58,7 @@ def _log_weights(F: SpectralMeasure, r: float, k_max: int, ratio: int = _RATIO):
     if F.density is not None:
         dens = F.density
         floor = 16.0 * math.sqrt(k_max + 1.0)
-        pts, wts = panel_nodes(graded_edges(r, dens.breakpoints, _support(dens)[1], floor,
+        pts, wts = panel_nodes(graded_edges(r, dens.breakpoints, _support(dens), floor,
                                             _ratio=ratio))
         vals = dens(pts) * wts
         keep = vals > 0.0
@@ -245,64 +245,30 @@ def arc_radius_bound(arc: Arc, r: float) -> float:
     return math.sqrt(1.0 - 2.0 * r * math.cos(delta) + r * r)
 
 
-#: coefficients, probe values and arc widths at or below this count as zero
-_ZERO_TOL = 1e-12
-
-#: midpoints at which a one-piece density is checked for sign
-_SIGN_POINTS = 4096
-
-
 def _support(dens):
-    """The support of a density, cached on it (an error is not): its runs
-    and the centers of the variance rule (:func:`_log_weights`).
-
-    Runs are the sorted merged (lo, hi) of the pieces whose coefficients are
-    not all zero (piece i + 1 covers (b[i], b[i + 1]]); a run through pi
-    ends past pi.  A nonzero trig polynomial vanishes at isolated points
-    only, so such a piece is support over its whole interval once it is
-    seen to be nonnegative there: without evaluation when
-    c_0 >= sum_{k != 0} |c_k|, else at ``_SIGN_POINTS`` midpoints of its
-    interval, where a value below -_ZERO_TOL raises DomainError.
-
-    Centers are the local maxima over the closed support of the high-k
-    integrand d(t)^-(k+1), d = 1 - 2r cos t + r^2.  d grows with |t|, so
-    they are 0 when the closed support holds it, and each breakpoint from
-    which a run leads away from 0: a run's lo in [0, pi) or its hi in
-    (-pi, 0].  The support point nearest 0 is one of them; a massless
-    density gets (0.0,)."""
-    if dens._runs is not None:
-        return dens._runs
-    breaks = list(dens.breakpoints) or [-PI]
-    n = len(breaks)
-    live = [np.max(np.abs(p.c)) > _ZERO_TOL for p, _ in dens.pieces]
-    runs: list[tuple[float, float]] = []
-    for i, (lo, hi) in enumerate(zip(breaks, breaks[1:] + [breaks[0] + TWOPI])):
-        if not live[(i + 1) % n]:
-            continue
-        p = dens.pieces[(i + 1) % n][0]  # the numerator carries the sign
-        if 2.0 * p.c[p.degree].real < np.abs(p.c).sum():  # c_0 < sum_{k != 0} |c_k|
-            probe = lo + (hi - lo) * (np.arange(_SIGN_POINTS) + 0.5) / _SIGN_POINTS
-            if np.min(p(probe)) < -_ZERO_TOL:
-                raise DomainError("density is negative")
-        if runs and runs[-1][1] == lo:
-            runs[-1] = (runs[-1][0], hi)
-        else:
-            runs.append((lo, hi))
-    if len(runs) > 1 and runs[-1][1] == runs[0][0] + TWOPI:
-        runs = runs[1:-1] + [(runs[-1][0], runs[0][1] + TWOPI)]
-    # live[i] ends at b[i] and live[i + 1] starts there: a run's lo or hi
-    centers = {b for i, b in enumerate(breaks) if live[i] != live[(i + 1) % n] and
-               (0.0 <= b < PI if live[(i + 1) % n] else -PI < b <= 0.0)}
-    if live[bisect_left(breaks, 0.0) % n]:
-        centers.add(0.0)
-    dens._runs = (tuple(runs), tuple(sorted(centers)) or (0.0,))
-    return dens._runs
+    """The centers of the variance rule (:func:`_log_weights`), cached on ``dens``:
+    the local maxima over the closed support (``PeriodicFunction.support``) of the
+    high-k integrand d(t)^-(k+1), d = 1 - 2r cos t + r^2.  d grows with |t|, so
+    they are 0 when the closed support holds it, and each breakpoint from which a
+    run leads away from 0: a run's lo in [0, pi) or its hi in (-pi, 0].  The
+    support point nearest 0 is one of them; a massless density gets (0.0,)."""
+    if dens._centers is None:
+        breaks = list(dens.breakpoints) or [-PI]
+        n = len(breaks)
+        live = dens.support()[1]
+        # live[i] ends at b[i] and live[i + 1] starts there: a run's lo or hi
+        centers = {b for i, b in enumerate(breaks) if live[i] != live[(i + 1) % n] and
+                   (0.0 <= b < PI if live[(i + 1) % n] else -PI < b <= 0.0)}
+        if live[bisect_left(breaks, 0.0) % n]:
+            centers.add(0.0)
+        dens._centers = tuple(sorted(centers)) or (0.0,)
+    return dens._centers
 
 
 def classify_arcs(F: SpectralMeasure) -> list[Arc]:
     """Partition the circle into maximal arcs outside/inside the support.
 
-    One sweep over the support runs of the density (see :func:`_support`):
+    One sweep over the support runs of the density (``PeriodicFunction.support``):
     each run is a singular arc, and the gap up to the next run is regular,
     split at the atoms outside the support, each a singular point.  Without
     support the first atom seeds the sweep, so a purely atomic measure and
@@ -310,7 +276,7 @@ def classify_arcs(F: SpectralMeasure) -> list[Arc]:
     counts as one point.  Arcs are sorted by lo; a regular arc may wrap
     through pi, so its hi can exceed pi.
     """
-    runs = _support(F.density)[0] if F.density is not None else ()
+    runs = F.density.support()[0] if F.density is not None else ()
     if sum(hi - lo for lo, hi in runs) >= TWOPI - _ZERO_TOL:
         return [Arc(lo=-PI, hi=PI, kind="singular")]
     points = sorted({t for t, _ in F.atoms

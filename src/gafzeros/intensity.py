@@ -5,12 +5,15 @@
   floats from a plan cached per density; the ``auto`` route where it applies.
 * ``rho1_spectral``: the double integral against the rotated measure,
   collapsed to three single integrals through
-  1 - cos(t - s) = 1 - cos t cos s - sin t sin s.  Works for any measure,
-  atoms included (atom terms are summed in closed form).
+  1 - cos(t - s) = 1 - cos t cos s - sin t sin s.  Works for any measure:
+  each atom is a node of the frame of z (``poisson._frame_nodes``).
 * ``rho1_qform``: the same ratio written through the kernel averages of the
   symmetrized density slice; absolutely continuous measures only.
 * ``rho1_ek_numeric``: the Laplacian of log K(z, z) in closed form through
   the Herglotz transform, the first-order kernel only: an independent oracle.
+
+All but ``rho1_qform`` take y = (1 - r)(1 + r), exact to rounding; it keeps the
+1 - r*r that its kernel averages carry, which the ratio then cancels exactly.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 from .errors import (CaseMismatch, DegenerateDenominator, DomainError,
                      MethodUnavailable, PrecisionError)
 from .periodic import PI, TWOPI, PeriodicFunction, one_minus_cos, panel_nodes, wrap_scalar
-from .poisson import KernelPoint, _check_radius, _kernel_nodes, herglotz, poisson_kernel
+from .poisson import _check_radius, _frame_nodes, _kernel_nodes, herglotz, poisson_kernel
 from .spectral import SpectralMeasure
 
 __all__ = [
@@ -141,7 +144,10 @@ def rho1_closed_form(F: SpectralMeasure, z: complex) -> float:
     """Zero density at z from the moments of ``rho1_spectral`` in closed form, exact in r,
     so the ratio takes y = (1 - r)(1 + r): the density split once into a trig wave plus a
     level per piece (``wave_and_arcs``) and summed in floats, no numpy call.  The ratio
-    is scale invariant, so normalization is not checked."""
+    is scale invariant, so normalization is not checked.  On an isolated arc of width w
+    it loses about eps/w^3 relative: ``_arc_moments`` subtracts antiderivatives at ends
+    already rotated by phi (each moment ~4e-16/w off), and the Gram numerator of a
+    nearly atomic measure cancels 1/w^2 more (3.6e-3 at w = 1e-4, against 50 digits)."""
     r = _check_radius(abs(z))
     phi = cmath.phase(z) if r > 0.0 else 0.0
     y = (1.0 - r) * (1.0 + r)
@@ -160,32 +166,24 @@ def rho1_closed_form(F: SpectralMeasure, z: complex) -> float:
 def rho1_spectral(F: SpectralMeasure, z: complex) -> float:
     """Zero density at z from the double-integral representation.
 
-    The double integral of {1 - cos(t-s)} against the squared kernels
-    factorizes into single moments of the rotated measure, against 1 - cos s,
-    1 + cos s and sin s, plus the plain Poisson integral: O(M) instead of O(M^2),
-    with the atom terms exact.  The numerator A^2 - C^2 - S^2 (plain/cosine/sine
-    moments) is the product (A - C)(A + C) - S^2 with A -+ C integrated directly:
-    A and C each diverge like 1/y, while A - C stays O(1).  Where the density
-    vanishes to second order at the kernel center, sums of O(1/y) terms cancel to
-    O(y): 5.8e-9 relative off at ``ma1:a=0.5``, phi = pi, r = 1 - 10^-4.5
-    (``rho1_closed_form``: 1.5e-12).
+    The double integral of {1 - cos(t-s)} against the squared kernels factorizes
+    into single moments against 1 - cos s, 1 + cos s and sin s, plus the plain
+    Poisson integral: O(M) instead of O(M^2), summed over the nodes of
+    ``poisson._frame_nodes`` (an atom is one node), with one y in kernel and ratio.
+    The numerator A^2 - C^2 - S^2 (plain/cosine/sine moments) is the product
+    (A - C)(A + C) - S^2 with A -+ C integrated directly: A and C each diverge
+    like 1/y, while A - C stays O(1).  Where the density vanishes to second order
+    at the kernel center, sums of O(1/y) terms cancel to O(y): 5.8e-9 relative off
+    at ``ma1:a=0.5``, phi = pi, r = 1 - 10^-4.5 (``rho1_closed_form``: 1.5e-12).
     """
     F.validate_normalized()
-    pt = KernelPoint.from_z(z)
-    _check_radius(pt.r)
-    minus = plus = s_ = b = 0.0
-    if F.density is not None:
-        dens_phi = F.density.shifted(pt.phi)
-        pts, wts = _kernel_nodes(pt.r, dens_phi.breakpoints)
-        fv = dens_phi(pts) * wts
-        pk = poisson_kernel(pt.r, pts)
-        pk2 = pk * pk
-        x = one_minus_cos(pts)
-        minus += float(np.sum(fv * x * pk2))
-        plus += float(np.sum(fv * (2.0 - x) * pk2))
-        s_ += float(np.sum(fv * np.sin(pts) * pk2))
-        b += float(np.sum(fv * pk))
-    return _ratio(_with_atoms((minus, plus, s_, b), F.atoms, pt.r, pt.phi, pt.y), z, pt.y)
+    r, _, s, mass = _frame_nodes(F, z)
+    y, x = (1.0 - r) * (1.0 + r), one_minus_cos(s)
+    pk = y / ((1.0 - r) ** 2 + 2.0 * r * x)
+    fv = mass * pk * pk
+    moments = (float(np.sum(fv * x)), float(np.sum(fv * (2.0 - x))),
+               float(np.sum(fv * np.sin(s))), float(np.sum(mass * pk)))
+    return _ratio(moments, z, y)
 
 
 def _qform_parts(f_phi: PeriodicFunction, r: float):
@@ -223,9 +221,9 @@ def rho1_qform(F: SpectralMeasure, z: complex) -> float:
         raise MethodUnavailable("q_form requires an absolutely continuous measure")
     if F.density is None:
         raise MethodUnavailable("q_form requires a density")
-    pt = KernelPoint.from_z(z)
-    _check_radius(pt.r)
-    return _ratio(_qform_parts(F.relative_density(pt.phi), pt.r), z, pt.y)
+    r = _check_radius(abs(z))
+    phi = cmath.phase(z) if r > 0.0 else 0.0
+    return _ratio(_qform_parts(F.relative_density(phi), r), z, 1.0 - r * r)
 
 
 def rho1_ek_numeric(F: SpectralMeasure, z: complex) -> float:
@@ -233,9 +231,9 @@ def rho1_ek_numeric(F: SpectralMeasure, z: complex) -> float:
     |Phi'|^2 / (4 pi (Re Phi)^2): the ratio of moments Re Phi -+ y |Phi'|/2,
     s = 0, b = Re Phi.  It cancels where rho1 << 1/(pi y^2); its error, about
     _EK_EPS/(pi y^2), raises PrecisionError past 1e-5 max(rho1, 1/pi)."""
-    pt = KernelPoint.from_z(z)
-    phi_z, dphi_z = herglotz(F, pt.z)
-    y = (1.0 - pt.r) * (1.0 + pt.r)
+    r = _check_radius(abs(z))
+    phi_z, dphi_z = herglotz(F, z)
+    y = (1.0 - r) * (1.0 + r)
     b, c = phi_z.real, 0.5 * y * abs(dphi_z)
     value = _ratio((b - c, b + c, 0.0, b), z, y)
     achievable = _EK_EPS / (PI * y * y * max(value, 1.0 / PI))

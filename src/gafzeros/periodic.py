@@ -34,6 +34,11 @@ _FIT_TOL = 1e-10
 
 _BREAK_MERGE_TOL = 1e-12
 
+#: coefficients, probe values and arc widths at or below this count as zero
+_ZERO_TOL = 1e-12
+#: midpoints at which a piece is checked for sign
+_SIGN_POINTS = 4096
+
 
 def wrap_angle(s):
     """Map angles to the fundamental interval (-pi, pi]."""
@@ -244,7 +249,7 @@ class PeriodicFunction:
     hash by breakpoints, pieces and jet.
     """
 
-    __slots__ = ("breakpoints", "pieces", "_jet", "_arcs", "_runs")
+    __slots__ = ("breakpoints", "pieces", "_jet", "_arcs", "_runs", "_centers")
 
     def __init__(self, breakpoints, pieces, *, jet=None):
         self.breakpoints = np.asarray(breakpoints, dtype=float)
@@ -253,7 +258,8 @@ class PeriodicFunction:
             raise ValueError("need one piece per breakpoint interval")
         self._jet = None if jet is None else np.asarray(jet, dtype=float)
         self._arcs = False  # wave_and_arcs, once computed
-        self._runs = None  # support runs and rule centers (continuation._support)
+        self._runs = None  # support(), once computed
+        self._centers = None  # the variance rule's centers (continuation._support)
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -340,6 +346,38 @@ class PeriodicFunction:
                     (b[i - 1], b[i], v) for i, v in
                     enumerate(float(c[d].real) for c in specs) if b and v))
         return self._arcs
+
+    def support(self):
+        """The support, cached (a refusal is not): its runs, the sorted merged (lo, hi)
+        of the live pieces, those with a coefficient above _ZERO_TOL (piece i + 1
+        covers (b[i], b[i + 1]]; a run through pi ends past pi), and per piece whether
+        it is live.  A nonzero trig polynomial vanishes at isolated points only, so a
+        live piece is support over its whole interval once it is seen to be
+        nonnegative there: without evaluation when c_0 >= sum_{k != 0} |c_k|, else at
+        ``_SIGN_POINTS`` midpoints of its interval, where a value below -_ZERO_TOL
+        raises DomainError."""
+        if self._runs is not None:
+            return self._runs
+        breaks = list(self.breakpoints) or [-PI]
+        n = len(breaks)
+        live = tuple(bool(np.max(np.abs(p.c)) > _ZERO_TOL) for p, _ in self.pieces)
+        runs: list[tuple[float, float]] = []
+        for i, (lo, hi) in enumerate(zip(breaks, breaks[1:] + [breaks[0] + TWOPI])):
+            if not live[(i + 1) % n]:
+                continue
+            p = self.pieces[(i + 1) % n][0]  # the numerator carries the sign
+            if 2.0 * p.c[p.degree].real < np.abs(p.c).sum():  # c_0 < sum_{k != 0} |c_k|
+                probe = lo + (hi - lo) * (np.arange(_SIGN_POINTS) + 0.5) / _SIGN_POINTS
+                if np.min(p(probe)) < -_ZERO_TOL:
+                    raise DomainError("density is negative")
+            if runs and runs[-1][1] == lo:
+                runs[-1] = (runs[-1][0], hi)
+            else:
+                runs.append((lo, hi))
+        if len(runs) > 1 and runs[-1][1] == runs[0][0] + TWOPI:
+            runs = runs[1:-1] + [(runs[-1][0], runs[0][1] + TWOPI)]
+        self._runs = (tuple(runs), live)
+        return self._runs
 
     @property
     def smooth_at_zero(self) -> bool:

@@ -15,14 +15,17 @@ The operators here refuse direct quadrature above r = 1 - 1e-6; past that
 only the boundary expansions are meaningful.  The covariance kernel reads one
 such integral, the Herglotz transform Phi of the spectral measure
 (``herglotz``): K(z, z) = Re Phi(z) / (1 - |z|^2), and ``K_offdiag`` off the
-diagonal.  Where the density is a trig wave plus levels (``wave_and_arcs``),
-``_herglotz_plan`` gives Phi and Phi' over arrays in closed form instead: the wave
-2 pi (2 sum_(n>=0) c_n z^n - c_0), a level L on the arc (a, b)
-L[((b - a) mod 2 pi) - 2i (Log(1 - z e^(-ib)) - Log(1 - z e^(-ia)))] and an atom
-m (e^(it) + z)/(e^(it) - z).  The cell counts of :mod:`.experiments` read it; the
-quadrature stays its oracle, the route of ``rho1_ek_numeric`` and ``K_offdiag``, and
-the fallback for a density without a plan.  ``_wave_jet`` evaluates the wave and its
-derivatives by Horner's rule, on |z| = 1 too: the boundary expansions of
+diagonal.  A measure enters the frame of z, rotated by phi = arg z, as one node set
+(``_frame_nodes``): the kernel rule on the shifted density, a node per atom, and at
+each breakpoint an end mass for the width the shift's rounding moved; ``herglotz``
+and ``intensity.rho1_spectral`` sum over it.  Where the density is a trig wave plus
+levels (``wave_and_arcs``), ``_herglotz_plan`` gives Phi and Phi' over arrays in
+closed form instead: the wave 2 pi (2 sum_(n>=0) c_n z^n - c_0), a level L on the
+arc (a, b) L[((b - a) mod 2 pi) - 2i (Log(1 - z e^(-ib)) - Log(1 - z e^(-ia)))], an
+atom m (e^(it) + z)/(e^(it) - z).  The cell counts of :mod:`.experiments` read it;
+the quadrature stays its oracle, the route of ``rho1_ek_numeric`` and ``K_offdiag``,
+and the fallback for a density without a plan.  ``_wave_jet`` evaluates the wave and
+its derivatives by Horner's rule, on |z| = 1 too: the boundary expansions of
 :mod:`.asymptotics` read its first three derivatives at e^(i phi).
 """
 
@@ -30,7 +33,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -41,7 +43,7 @@ from .periodic import (PI, TWOPI, PeriodicFunction, one_minus_cos, panel_nodes, 
 from .spectral import SpectralMeasure
 
 __all__ = [
-    "KernelPoint", "poisson_kernel", "P_op", "Q_op", "AuxValues", "aux_ops",
+    "poisson_kernel", "P_op", "Q_op", "AuxValues", "aux_ops",
     "herglotz", "K_offdiag", "R_CEILING",
 ]
 
@@ -50,31 +52,6 @@ R_CEILING = 1.0 - 1e-6
 
 #: the graded subgrid descends to (1-r) divided by this factor
 GRADING_FLOOR = 16.0
-
-
-@dataclass(frozen=True)
-class KernelPoint:
-    """Point of the open unit disk in the (r, phi, y=1-r^2) coordinates."""
-
-    z: complex
-    r: float
-    phi: float
-    y: float
-
-    @classmethod
-    def from_z(cls, z: complex) -> "KernelPoint":
-        z = complex(z)
-        r = abs(z)
-        if r >= 1.0:
-            raise DomainError(f"|z| = {r} is not inside the unit disk")
-        return cls(z=z, r=r, phi=cmath.phase(z) if r > 0 else 0.0, y=1.0 - r * r)
-
-    @classmethod
-    def from_polar(cls, r: float, phi: float) -> "KernelPoint":
-        r, phi = float(r), float(phi)
-        if not 0.0 <= r < 1.0:
-            raise DomainError(f"radius {r} is not in [0, 1)")
-        return cls(z=r * cmath.exp(1j * phi), r=r, phi=float(wrap_angle(phi)), y=1.0 - r * r)
 
 
 def poisson_kernel(r: float, s) -> float | np.ndarray:
@@ -201,23 +178,39 @@ def aux_ops(h: PeriodicFunction, r: float) -> AuxValues:
 # ---------------------------------------------------------------------------
 
 
-def herglotz(F: SpectralMeasure, z: complex) -> tuple[complex, complex]:
-    """Phi(z) = int (e^{it} + z)/(e^{it} - z) dF(t) and Phi'(z), on the rule at 0
-    in the frame rotated to phi = arg z.  With d = e^{is} - r formed as
-    (1 - r) - (1 - cos s) + i sin s, the kernels (y - 2ir sin s)/|d|^2 and
-    2 e^{-i phi} (d + r)/d^2 keep full precision as r -> 1; atoms are exact."""
-    pt = KernelPoint.from_z(z)
-    r = _check_radius(pt.r)
+def _frame_nodes(F: SpectralMeasure, z: complex):
+    """(r, phi, s, mass): the measure as nodes s in the frame of z (module docstring).
+    The shift rounds a breakpoint b to b' = wrap(b - phi), e = (b - phi + 2 pi k) - b'
+    off its place: exact by ``math.fsum`` but for the last term, k (2 pi - TWOPI).
+    The node at b' carries the end mass -e (right - left value at b)."""
+    r = _check_radius(abs(z))
+    phi = cmath.phase(z) if r > 0.0 else 0.0
     s, mass = np.array(F.atoms, dtype=float).reshape(-1, 2).T
-    s = wrap_angle(s - pt.phi)
+    s = wrap_angle(s - phi)
     if F.density is not None:
-        dens = F.density.shifted(pt.phi)
+        dens = F.density.shifted(phi)
         pts, wts = _kernel_nodes(r, dens.breakpoints)
-        s, mass = np.concatenate([pts, s]), np.concatenate([dens(pts) * wts, mass])
+        b, ps = F.density.breakpoints, [p for p, _ in F.density.pieces]
+        ends, ends_mass = wrap_angle(b - phi), []
+        for i, (t, u) in enumerate(zip(b.tolist(), ends.tolist())):
+            k = round((u - t + phi) / TWOPI)
+            e = math.fsum((t, -phi, k * TWOPI, -u)) + k * 2.4492935982947064e-16
+            ends_mass.append(-e * (ps[(i + 1) % b.size](t) - ps[i](t)))
+        s = np.concatenate([pts, s, ends])
+        mass = np.concatenate([dens(pts) * wts, mass, ends_mass])
+    return r, phi, s, mass
+
+
+def herglotz(F: SpectralMeasure, z: complex) -> tuple[complex, complex]:
+    """Phi(z) = int (e^{it} + z)/(e^{it} - z) dF(t) and Phi'(z), summed over the nodes of
+    ``_frame_nodes``.  With d = e^{is} - r formed as (1 - r) - (1 - cos s) + i sin s,
+    the kernels (y - 2ir sin s)/|d|^2 and 2 e^{-i phi} (d + r)/d^2 keep full precision
+    as r -> 1."""
+    r, phi, s, mass = _frame_nodes(F, z)
     x, sn = one_minus_cos(s), np.sin(s)
     d = (1.0 - r) - x + 1j * sn
     phi_z = np.sum(mass * ((1.0 - r) * (1.0 + r) - 2j * r * sn) / ((1.0 - r) ** 2 + 2.0 * r * x))
-    dphi_z = 2.0 * np.sum(mass * (d + r) / d**2) * cmath.exp(-1j * pt.phi)
+    dphi_z = 2.0 * np.sum(mass * (d + r) / d**2) * cmath.exp(-1j * phi)
     return complex(phi_z), complex(dphi_z)
 
 

@@ -16,7 +16,6 @@ import math
 
 import numpy as np
 
-from .continuation import _support
 from .errors import DomainError
 from .periodic import PI, TWOPI, PeriodicFunction, TrigPoly
 from .spectral import SpectralMeasure
@@ -79,8 +78,6 @@ def mix(*weighted) -> SpectralMeasure:
             part = w * F.density
             dens = part if dens is None else dens + part
         out_atoms.extend((t, w * m) for t, m in F.atoms)
-    if dens is not None and min(w for w, _ in weighted) < 0.0:
-        _support(dens)  # DomainError where a negative weight leaves the density negative
     label = "mix:" + "+".join(f"{w:g}*{F.label or '?'}" for w, F in weighted)
     return SpectralMeasure(density=dens, atoms=tuple(out_atoms), label=label)
 

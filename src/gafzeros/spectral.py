@@ -41,6 +41,8 @@ class SpectralMeasure:
             raise DomainError("an atom or a density coefficient is not finite")
         if any(m <= 0 for _, m in atoms):
             raise DomainError("atom masses must be positive")
+        if self.density is not None:
+            self.density.support()  # DomainError where the density is negative
         object.__setattr__(self, "atoms", tuple((float(wrap_angle(t)), m) for t, m in atoms))
 
     @property

@@ -263,7 +263,8 @@ def test_jet_functionals_match_the_slice_functionals(wave, phi):
     # scale (2.2e-11 relative), the jet up to 2.2e-16 (40-digit values, 1500 waves)
     got = _jet_functionals(tuple(wave.c.tolist()), phi)
     dens = PeriodicFunction.from_trigpoly(wave)
-    want = _slice_functionals(SpectralMeasure(density=dens).relative_density(phi))
+    # the signed wave is no measure: its slice is relative_density's, built directly
+    want = _slice_functionals((2 * math.pi * dens).shifted(phi))
     ks = np.arange(-wave.degree, wave.degree + 1)
     scale = 2 * math.pi * np.sum((1 + np.abs(ks)) ** 3 * np.abs(wave.c))
     assert got.keys() == want.keys()
@@ -387,13 +388,16 @@ def test_boundary_requires_density_and_smoothness():
 
 
 def test_boundary_degenerate_denominator():
-    # crafted signed slice with f(0) = 0 and a vanishing averaged quotient
+    # crafted signed slice with f(0) = 0 and a vanishing averaged quotient: a signed
+    # density is refused as a measure, so only a vanishing scale reaches the branch
     dens = PeriodicFunction.from_trig([0.0, 0.0, 0.0]) + \
         (PeriodicFunction.from_trig([1.0, -1.0]) -
          PeriodicFunction.from_trig([1.0, -1.0]) * PeriodicFunction.from_trig([1.0, -1.0]))
-    F = SpectralMeasure(density=(1 / (2 * math.pi)) * dens, label="crafted")
+    with pytest.raises(DomainError, match="density is negative"):
+        SpectralMeasure(density=(1 / (2 * math.pi)) * dens, label="crafted")
+    F = SpectralMeasure(density=1e-14 * presets.ma1(0.5).density, label="faint")
     with pytest.raises(DegenerateDenominator):
-        rho1_boundary(F, 0.0)
+        rho1_boundary(F, math.pi)
 
 
 # ------------------------------------------------------------- recursions

@@ -203,6 +203,19 @@ def test_presets_lists_at_least_four(capsys):
     assert len(names) >= 4
 
 
+@pytest.mark.parametrize("r", ["-0.1", "nan", "1.0"])
+def test_density_radius_outside_the_disk_exits_2(capsys, r):
+    code, out, err = run_cli(capsys, "density", "--preset", "uniform", "--r", r)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
+def test_density_prints_the_wrapped_direction(capsys):
+    code, out, _ = run_cli(capsys, "density", "--preset", "uniform", "--r", "0.5", "--phi", "7.0")
+    assert code == 0
+    assert float(parse_kv(out)["phi"]) == pytest.approx(7.0 - 2 * math.pi, abs=1e-15)
+
+
 def test_exit_code_domain_error(capsys):
     code, _, err = run_cli(capsys, "density", "--preset", "uniform",
                            "--r", "1.5")

@@ -440,14 +440,13 @@ def test_support_cache_is_not_shared_with_callers():
                                   PeriodicFunction.step([-1.0, 1.0], [1.0, -0.5])])
 def test_negative_density_raises_on_every_call(dens):
     # the support is cached once found; a refusal is not, so it repeats
-    F = SpectralMeasure(density=dens)
     for _ in range(3):
         with pytest.raises(DomainError, match="density is negative"):
-            classify_arcs(F)
+            classify_arcs(SpectralMeasure(density=dens))
         with pytest.raises(DomainError, match="density is negative"):
-            log_variance_alpha(F, 0.5, 8)
+            log_variance_alpha(SpectralMeasure(density=dens), 0.5, 8)
         with pytest.raises(DomainError, match="density is negative"):
-            continuation_report(F, 0.5)
+            continuation_report(SpectralMeasure(density=dens), 0.5)
 
 
 @pytest.mark.parametrize("dens", [PeriodicFunction.constant(0.0),

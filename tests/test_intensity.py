@@ -13,7 +13,7 @@ from gafzeros.intensity import (_GRAM_ROUNDING, ROUTES, _ratio, rho1, rho1_close
                                 rho1_ek_numeric, rho1_qform, rho1_spectral, sr_positive_form,
                                 sr_value)
 from gafzeros.periodic import PI, TWOPI, PeriodicFunction, TrigPoly, one_minus_cos, wrap_angle
-from gafzeros.poisson import KernelPoint, P_op, _check_radius
+from gafzeros.poisson import P_op, _check_radius
 from gafzeros.spectral import SpectralMeasure, shift
 
 HALF = math.pi / 2
@@ -264,16 +264,16 @@ def test_closed_form_radius_ceiling():
 
 # ---------------------------------------------------------------------------
 # the numpy-scalar closed form that the plain-float kernel replaced, kept as
-# a bit-identity oracle: a KernelPoint per call, the wave read as a TrigPoly,
+# a bit-identity oracle: r and phi read per call, the wave read as a TrigPoly,
 # numpy angle arithmetic per atom and 1 + cos u formed as 2 - x
 # ---------------------------------------------------------------------------
 
 
-def _oracle_with_atoms(moments, F, pt, y):
+def _oracle_with_atoms(moments, F, r, phi, y):
     minus, plus, s_, b = moments
-    for u, m in [(wrap_angle(t - pt.phi), m) for t, m in F.atoms]:
+    for u, m in [(wrap_angle(t - phi), m) for t, m in F.atoms]:
         x = float(one_minus_cos(u))
-        pk = y / ((1.0 - pt.r) ** 2 + 2.0 * pt.r * x)
+        pk = y / ((1.0 - r) ** 2 + 2.0 * r * x)
         minus += m * x * pk**2
         plus += m * (2.0 - x) * pk**2
         s_ += m * math.sin(u) * pk**2
@@ -339,17 +339,17 @@ def _oracle_arc_moments(lo, hi, r):
 
 
 def _oracle_closed_form(F, z):
-    pt = KernelPoint.from_z(z)
-    _check_radius(pt.r)
-    y = (1.0 - pt.r) * (1.0 + pt.r)
+    r = _check_radius(abs(z))
+    phi = cmath.phase(z) if r > 0 else 0.0
+    y = (1.0 - r) * (1.0 + r)
     moments = [0.0, 0.0, 0.0, 0.0]
     if F.density is not None:
         wave, arcs = F.density.wave_and_arcs()
-        moments = list(_oracle_trig_moments(TrigPoly(wave), pt.phi, pt.r))
+        moments = list(_oracle_trig_moments(TrigPoly(wave), phi, r))
         for lo, hi, level in arcs:
-            arc = _oracle_arc_moments(lo - pt.phi, hi - pt.phi, pt.r)
+            arc = _oracle_arc_moments(lo - phi, hi - phi, r)
             moments = [m + level * a for m, a in zip(moments, arc)]
-    return _oracle_ratio(_oracle_with_atoms(moments, F, pt, y), z, y)
+    return _oracle_ratio(_oracle_with_atoms(moments, F, r, phi, y), z, y)
 
 
 _LADDER = [1.0 - 10.0 ** (-k / 2.0) for k in range(2, 10)]
@@ -510,10 +510,12 @@ def test_qform_is_sr_over_squared_poisson_average_bitwise(F):
     # pieces must still compose to the very same float
     for r in (0.3, 0.9, 0.999, 1 - 1e-4, 1 - 1e-5):
         for phi in (0.0, 0.4, HALF + 0.01, -2.5, math.pi):
-            pt = KernelPoint.from_z(r * cmath.exp(1j * phi))
-            p_hat = P_op(F.relative_density(pt.phi).hat(), pt.r)
-            want = sr_value(F, pt.phi, pt.r) / (math.pi * pt.y**2 * p_hat * p_hat)
-            assert rho1_qform(F, pt.z) == want, (r, phi)
+            z = r * cmath.exp(1j * phi)
+            r_z, phi_z = abs(z), cmath.phase(z)
+            y = 1.0 - r_z * r_z
+            p_hat = P_op(F.relative_density(phi_z).hat(), r_z)
+            want = sr_value(F, phi_z, r_z) / (math.pi * y**2 * p_hat * p_hat)
+            assert rho1_qform(F, z) == want, (r, phi)
 
 
 def test_sr_value_uniform_reduction():

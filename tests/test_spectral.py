@@ -95,6 +95,13 @@ def test_non_finite_measures_are_refused():
             build()
 
 
+def test_a_negative_density_is_refused_when_the_measure_is_made():
+    # mass 1, but -0.05 on (-1, 1): sampling it gave non-finite coefficients
+    dens = PeriodicFunction.step([-1.0, 1.0], [-0.05, 0.6071])
+    with pytest.raises(DomainError, match="density is negative"):
+        SpectralMeasure(density=dens)
+
+
 def test_covariance_uniform():
     U = presets.uniform()
     assert covariance(U, 0) == pytest.approx(1.0, abs=1e-14)
