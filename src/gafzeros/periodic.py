@@ -22,6 +22,7 @@ from .errors import DomainError
 
 PI = math.pi
 TWOPI = 2.0 * math.pi
+TWOPI_LOW = 2.4492935982947064e-16  # 2 pi - TWOPI: what TWOPI rounds off
 
 #: order of the Taylor jet carried at s = 0 (coefficients of s^0 .. s^8)
 JET_LEN = 9

@@ -22,11 +22,16 @@ and ``intensity.rho1_spectral`` sum over it.  Where the density is a trig wave p
 levels (``wave_and_arcs``), ``_herglotz_plan`` gives Phi and Phi' over arrays in
 closed form instead: the wave 2 pi (2 sum_(n>=0) c_n z^n - c_0), a level L on the
 arc (a, b) L[((b - a) mod 2 pi) - 2i (Log(1 - z e^(-ib)) - Log(1 - z e^(-ia)))], an
-atom m (e^(it) + z)/(e^(it) - z).  The cell counts of :mod:`.experiments` read it;
-the quadrature stays its oracle, the route of ``rho1_ek_numeric`` and ``K_offdiag``,
-and the fallback for a density without a plan.  ``_wave_jet`` evaluates the wave and
-its derivatives by Horner's rule, on |z| = 1 too: the boundary expansions of
-:mod:`.asymptotics` read its first three derivatives at e^(i phi).
+atom m (e^(it) + z)/(e^(it) - z).  In the frame of z, u = t - arg z, the half-angle
+variable theta, tan theta = ((1 + r)/(1 - r)) tan(u/2), gives P du = 2 d theta: over an
+arc of width 2h (``_half_width``) theta runs dth = atan2((1 - r^2) sin h, sigma ((1 + r)^2
+s_a s_b + (1 - r)^2 c_a c_b)) in [0, pi] (s, c: sine and cosine of each end's u/2; sigma = -1
+if the arc wraps past u = pi, else 1), so Re Phi_L = 2L dth keeps its relative precision on
+a narrow arc and in a gap; ``intensity._arc_moments`` reads theta too.  The cells of
+:mod:`.experiments` read the plan; the quadrature stays its oracle, the route of
+``rho1_ek_numeric`` and ``K_offdiag``, and the fallback for a density without a plan.
+``_wave_jet`` evaluates the wave and its derivatives by Horner's rule, on |z| = 1 too:
+the boundary expansions of :mod:`.asymptotics` read its first three derivatives at e^(i phi).
 """
 
 from __future__ import annotations
@@ -38,8 +43,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, PrecisionError
-from .periodic import (PI, TWOPI, PeriodicFunction, one_minus_cos, panel_nodes, wrap_angle,
-                       wrap_scalar)
+from .periodic import (PI, TWOPI, TWOPI_LOW, PeriodicFunction, one_minus_cos, panel_nodes,
+                       wrap_angle, wrap_scalar)
 from .spectral import SpectralMeasure
 
 __all__ = [
@@ -181,7 +186,7 @@ def aux_ops(h: PeriodicFunction, r: float) -> AuxValues:
 def _frame_nodes(F: SpectralMeasure, z: complex):
     """(r, phi, s, mass): the measure as nodes s in the frame of z (module docstring).
     The shift rounds a breakpoint b to b' = wrap(b - phi), e = (b - phi + 2 pi k) - b'
-    off its place: exact by ``math.fsum`` but for the last term, k (2 pi - TWOPI).
+    off its place: exact by ``math.fsum`` but for the last term, k TWOPI_LOW.
     The node at b' carries the end mass -e (right - left value at b)."""
     r = _check_radius(abs(z))
     phi = cmath.phase(z) if r > 0.0 else 0.0
@@ -194,7 +199,7 @@ def _frame_nodes(F: SpectralMeasure, z: complex):
         ends, ends_mass = wrap_angle(b - phi), []
         for i, (t, u) in enumerate(zip(b.tolist(), ends.tolist())):
             k = round((u - t + phi) / TWOPI)
-            e = math.fsum((t, -phi, k * TWOPI, -u)) + k * 2.4492935982947064e-16
+            e = math.fsum((t, -phi, k * TWOPI, -u)) + k * TWOPI_LOW
             ends_mass.append(-e * (ps[(i + 1) % b.size](t) - ps[i](t)))
         s = np.concatenate([pts, s, ends])
         mass = np.concatenate([dens(pts) * wts, mass, ends_mass])
@@ -229,20 +234,26 @@ def _wave_jet(wave, z, order: int) -> list:
             *(2.0 * TWOPI * math.factorial(k) * jet[k] for k in range(1, order + 1))]
 
 
+def _half_width(lo: float, hi: float):
+    """(h, sin h) for the arc from lo to hi in [-pi, pi], of width 2h (wrapping past pi if
+    hi <= lo, the whole circle if hi == lo).  sin h is read from the narrower of the arc
+    and its complement, adding TWOPI_LOW to one that wraps: a narrow gap keeps it too."""
+    d = abs(hi - lo)
+    w = d if d <= PI else (PI - max(lo, hi)) + (PI + min(lo, hi)) + TWOPI_LOW
+    return 0.5 * (hi - lo if hi > lo else (hi + PI) + (PI - lo)), math.sin(0.5 * w)
+
+
 def _herglotz_plan(F: SpectralMeasure, z):
     """(Phi, Phi') over the array z in closed form (module docstring), or None without a
     plan.  A level L on an arc of width 2h is summed in the frame of z, u = s - arg z
-    wrapped to [-pi, pi), from the ends' half-angle sines and cosines s, c, never as a
-    difference of two logs, which the level (~1/h) would magnify on a narrow arc:
-    with sigma = -1 when the arc wraps past u = pi, else 1,
+    wrapped to [-pi, pi): Re Phi_L = 2L dth (module docstring), never a difference of two
+    logs, which the level (~1/h) would magnify on a narrow arc, and
 
-        Re Phi_L = 2L atan2((1 - r^2) sin h, sigma ((1 + r)^2 s_a s_b + (1 - r)^2 c_a c_b)),
         Im Phi_L = -L log(|v_b|^2 / |v_a|^2),  |v|^2 = (1 + r)^2 s^2 + (1 - r)^2 c^2,
         Phi'_L = 4L sin h e^(i(a + h)) / ((e^(ia) - z)(e^(ib) - z)),
 
     the log as log1p(4 r sigma sin h sin((u_a + u_b)/2) / |v_a|^2) while that argument
-    is under 1/2.  Both terms of the atan2 keep their relative precision, so Re Phi
-    does in a gap too, where it is O(1 - r)."""
+    is under 1/2."""
     plan = ((0j,), ()) if F.density is None else F.density.wave_and_arcs()
     if plan is None:
         return None
@@ -251,9 +262,7 @@ def _herglotz_plan(F: SpectralMeasure, z):
     r, arg = np.abs(z), np.angle(z)
     y, rp2, rm2 = (1.0 - r) * (1.0 + r), (1.0 + r) ** 2, (1.0 - r) ** 2
     for lo, hi, level in plan[1]:
-        # an arc with hi <= lo wraps past pi; hi == lo is the whole circle
-        h = 0.5 * (hi - lo if hi > lo else (hi + PI) + (PI - lo))
-        sin_h = math.sin(h)
+        h, sin_h = _half_width(lo, hi)
         u = np.remainder(np.subtract.outer((lo, hi), arg) + PI, TWOPI) - PI
         sigma = np.where(u[1] <= u[0], -1.0, 1.0)
         sn, cs = np.sin(0.5 * u), np.cos(0.5 * u)

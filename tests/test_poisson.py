@@ -223,6 +223,38 @@ def test_closed_form_herglotz_exists_exactly_with_a_plan(F):
     assert (_herglotz_plan(F, np.array([0.3j, 0.5])) is not None) == plan
 
 
+#: points of the narrow-gap pins: the center, facing the gap at two radii, and away from it
+_GAP_POINTS = [0.0, cmath.rect(0.5, 1.0), cmath.rect(0.99, 1.0), cmath.rect(0.9, -2.0), -0.3j]
+
+
+@pytest.mark.parametrize("g, values", [
+    (1e-3, [complex(-0.00017187696763524473305, 0.00026797713042023313557),
+            complex(-0.0006864349330821043404, 0.0010725944202024434532),
+            complex(-1.4393082896642909987, 2.8221231060483653499),
+            complex(-0.000037480530170770035575, 0.000080312330019985497656),
+            complex(-0.00006147710977877916791, 0.00018988979609429737541)]),
+    (1e-5, [complex(-1.7198249995997043001e-6, 2.6784981961250976476e-6),
+            complex(-6.8791928574390991628e-6, 0.00001071406157589326229),
+            complex(-0.01717171594898794323, 0.02680198182737029108),
+            complex(-3.747803579081225044e-7, 8.0301498717667902187e-7),
+            complex(-6.152722560004051441e-7, 1.8986160302153528658e-6)]),
+    (1e-7, [complex(-1.7198355493091911206e-8, 2.6784854641967165061e-8),
+            complex(-6.8793411258424744426e-8, 1.0713942544720926524e-7),
+            complex(-0.00017198090321336425414, 0.00026785024903047985803),
+            complex(-3.7478010905217891484e-9, 8.0301390534218422247e-9),
+            complex(-6.1527726830418577047e-9, 1.8986132123305299302e-8)]),
+])
+def test_closed_form_herglotz_derivative_in_a_narrow_gap(g, values):
+    # the level's sin h was read off the wrapped width 2 pi - g, eps/g off (4.7e-9 at
+    # g = 1e-7); it is now the sine of g/2.  References: 50 digits from
+    # Phi' = 2iL (1/(e^(ib) - z) - 1/(e^(ia) - z))
+    level = 1.0 / (2 * math.pi - g)
+    F = SpectralMeasure(density=PeriodicFunction.step([1.0, 1.0 + g], [level, 0.0]))
+    dphi = _herglotz_plan(F, np.array(_GAP_POINTS))[1]
+    for z, got, want in zip(_GAP_POINTS, dphi, values):
+        assert abs(got - want) <= 1e-13 * abs(want), z
+
+
 def test_closed_form_herglotz_of_uniform_and_in_a_gap():
     z = np.array([0.0, 0.3 + 0.4j, -0.99, R_CEILING])
     phi, dphi = _herglotz_plan(presets.uniform(), z)
