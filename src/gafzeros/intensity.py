@@ -25,10 +25,9 @@ import numpy as np
 
 from .errors import (CaseMismatch, DegenerateDenominator, DomainError,
                      MethodUnavailable, PrecisionError)
-from .periodic import (PI, TWOPI, TWOPI_LOW, PeriodicFunction, one_minus_cos, panel_nodes,
-                       wrap_scalar)
-from .poisson import (_check_radius, _frame_nodes, _half_width, _kernel_nodes, herglotz,
-                      poisson_kernel)
+from .periodic import PI, TWOPI, PeriodicFunction, one_minus_cos, panel_nodes, wrap_scalar
+from .poisson import (_check_radius, _frame_angle, _frame_nodes, _half_width, _kernel_nodes,
+                      herglotz, poisson_kernel)
 from .spectral import SpectralMeasure
 
 __all__ = [
@@ -102,42 +101,39 @@ def _trig_moments(c, phi: float, r: float):
 
 
 def _arc_moments(lo: float, hi: float, r: float, phi: float):
-    """Moments (minus, plus, s, b) of a unit level on the arc from lo to hi (the whole circle
-    when they meet) at z = r e^(i phi), in the half-angle variable theta (``poisson``
-    module docstring): theta runs from m - dth/2 to m + dth/2, so with A, B = 1 -+ r and
-    e = dth - sin dth (a series below 1), minus = (2A/B)(e + 2 sin^2 m sin dth),
-    plus = (2B/A)(e + 2 cos^2 m sin dth), s = 2 sin 2m sin dth and b = 2 dth, no term
-    cancelling.  An end u = t - phi less k turns is read as (t - k pi) - (phi + k pi), less
-    k TWOPI_LOW; cos m is the sine of its complement, small where the arc faces away."""
+    """(minus, plus, s, b) of a unit level on the arc from lo to hi (all the circle when they
+    meet) at z = r e^(i phi) less k whole circles, and k.  It runs in theta (``poisson``) from
+    m - dth/2 to m + dth/2: with A, B = 1 -+ r and e = dth - sin dth (a series below 1), minus,
+    plus = (2A/B, 2B/A)(e + 2 (sin^2, cos^2) m sin dth), s = 2 sin 2m sin dth, b = 2 dth; cos m
+    is the sine of its complement.  Past half the theta circle (x < 0) it is minus the arc's
+    complement, k = 1, so that the caller sums the level into the wave's constant first."""
     A, B = 1.0 - r, 1.0 + r
-    ka, kb = round((lo - phi) / TWOPI), round((hi - phi) / TWOPI)
-    u_a = (lo - ka * PI) - (phi + ka * PI) - ka * TWOPI_LOW
-    u_b = (hi - kb * PI) - (phi + kb * PI) - kb * TWOPI_LOW
+    u_a, u_b = _frame_angle(lo, phi), _frame_angle(hi, phi)
     sa, ca, sb, cb = (math.sin(0.5 * u_a), math.cos(0.5 * u_a),
                       math.sin(0.5 * u_b), math.cos(0.5 * u_b))
-    sigma = -1.0 if u_b <= u_a else 1.0
-    dth = math.atan2(A * B * _half_width(lo, hi)[1], sigma * (B * B * sa * sb + A * A * ca * cb))
+    x = (-1.0 if u_b <= u_a else 1.0) * (B * B * sa * sb + A * A * ca * cb)
+    sa, ca = (sb, cb) if x < 0.0 else (sa, ca)  # the complement runs from hi to lo
+    dth = math.atan2(A * B * _half_width(lo, hi)[1], abs(x))
     x2, e, half, sin_d = dth * dth, 1.0, 0.5 * dth, math.sin(dth)
     for d in (342.0, 272.0, 210.0, 156.0, 110.0, 72.0, 42.0, 20.0):
         e = 1.0 - x2 / d * e
     e = dth * x2 / 6.0 * e if dth < 1.0 else dth - sin_d
     sin_m = math.sin(math.atan2(B * sa, A * ca) + half)
     cos_m = math.sin(math.atan2(A * ca, B * abs(sa)) + (half if sa < 0.0 else -half))
-    return (2.0 * A / B * (e + 2.0 * sin_m * sin_m * sin_d),
-            2.0 * B / A * (e + 2.0 * cos_m * cos_m * sin_d), 4.0 * sin_m * cos_m * sin_d, 2.0 * dth)
+    f, q = (-2.0 if x < 0.0 else 2.0), 2.0 * sin_d
+    return (f * A / B * (e + q * sin_m * sin_m), f * B / A * (e + q * cos_m * cos_m),
+            f * q * sin_m * cos_m, f * dth, x < 0.0)
 
 
 def rho1_closed_form(F: SpectralMeasure, z: complex) -> float:
-    """Zero density at z from the moments of ``rho1_spectral`` in closed form, exact in r,
-    so the ratio takes y = (1 - r)(1 + r): the density split once into a trig wave plus a
-    level per piece (``wave_and_arcs``) and summed in floats, no numpy call.  The ratio
-    is scale invariant, so normalization is not checked.  Each arc moment keeps its
-    relative precision; on an isolated arc of width w the Gram numerator of a nearly atomic
-    measure cancels about eps/w^2, as ``rho1_spectral``'s does: 2.8e-11 / 6.0e-9 / 4.5e-7 /
-    5.5e-5 at w = 1e-2 / 1e-3 / 1e-4 / 1e-5 (spectral: 2.9e-11 / 2.0e-9 / 3.3e-7 / 3.0e-5;
-    worst of 12 points with |z| < 0.99, against 50 digits).  At a double zero made by a level
-    and the wave their O(1/y) plus terms cancel: about eps/y^2, 4.1e-7 (spectral: 5.8e-9) at
-    ``mix:0.5*ma1:a=0.5+0.5*indicator:lo=-1,hi=1``, phi = pi, r = 1 - 10^-4.5."""
+    """Zero density at z from the moments of ``rho1_spectral`` in closed form, exact in r, with
+    y = (1 - r)(1 + r): the density split once into a trig wave plus a level per piece
+    (``wave_and_arcs``), summed in floats, no numpy call, normalization not checked.  A level
+    read as its arc's complement joins the wave's constant, where a zero of the density facing
+    z cancels before the O(1/y) factor of plus.  On an isolated arc of width w the Gram
+    numerator of a nearly atomic measure cancels eps/w^2, as ``rho1_spectral``'s does: 3.0e-11
+    / 5.5e-9 / 2.6e-7 / 3.9e-5 at w = 1e-2 / 1e-3 / 1e-4 / 1e-5 (spectral: 2.9e-11 / 2.0e-9 /
+    3.3e-7 / 3.0e-5; worst of 12 points, |z| < 0.99)."""
     r = _check_radius(abs(z))
     phi = cmath.phase(z) if r > 0.0 else 0.0
     y = (1.0 - r) * (1.0 + r)
@@ -146,9 +142,13 @@ def rho1_closed_form(F: SpectralMeasure, z: complex) -> float:
         plan = F.density.wave_and_arcs()
         if plan is None:
             raise MethodUnavailable("closed_form needs pieces differing only in a constant")
-        moments = _trig_moments(plan[0], phi, r)
-        for lo, hi, level in plan[1]:
-            arc = _arc_moments(lo, hi, r, phi)
+        wave, arcs = plan
+        if arcs:
+            arcs = [(_arc_moments(lo, hi, r, phi), level) for lo, hi, level in arcs]
+            whole, d = sum(level for arc, level in arcs if arc[4]), len(wave) // 2
+            wave = (*wave[:d], wave[d] + whole, *wave[d + 1:])
+        moments = _trig_moments(wave, phi, r)
+        for arc, level in arcs:
             moments = [m + level * a for m, a in zip(moments, arc)]
     return _ratio(_with_atoms(moments, F.atoms, r, phi, y), z, y)
 

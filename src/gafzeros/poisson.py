@@ -22,16 +22,11 @@ and ``intensity.rho1_spectral`` sum over it.  Where the density is a trig wave p
 levels (``wave_and_arcs``), ``_herglotz_plan`` gives Phi and Phi' over arrays in
 closed form instead: the wave 2 pi (2 sum_(n>=0) c_n z^n - c_0), a level L on the
 arc (a, b) L[((b - a) mod 2 pi) - 2i (Log(1 - z e^(-ib)) - Log(1 - z e^(-ia)))], an
-atom m (e^(it) + z)/(e^(it) - z).  In the frame of z, u = t - arg z, the half-angle
-variable theta, tan theta = ((1 + r)/(1 - r)) tan(u/2), gives P du = 2 d theta: over an
-arc of width 2h (``_half_width``) theta runs dth = atan2((1 - r^2) sin h, sigma ((1 + r)^2
-s_a s_b + (1 - r)^2 c_a c_b)) in [0, pi] (s, c: sine and cosine of each end's u/2; sigma = -1
-if the arc wraps past u = pi, else 1), so Re Phi_L = 2L dth keeps its relative precision on
-a narrow arc and in a gap; ``intensity._arc_moments`` reads theta too.  The cells of
-:mod:`.experiments` read the plan; the quadrature stays its oracle, the route of
-``rho1_ek_numeric`` and ``K_offdiag``, and the fallback for a density without a plan.
-``_wave_jet`` evaluates the wave and its derivatives by Horner's rule, on |z| = 1 too:
-the boundary expansions of :mod:`.asymptotics` read its first three derivatives at e^(i phi).
+atom m (e^(it) + z)/(e^(it) - z).  In the frame of z, u = t - arg z, the half-angle variable
+theta, tan theta = ((1 + r)/(1 - r)) tan(u/2), gives P du = 2 d theta: Re Phi_L = 2L dth on an
+arc dth wide in theta, as ``intensity._arc_moments`` reads it too.  The plan feeds the cells of
+:mod:`.experiments`; the quadrature is its oracle and its fallback.  ``_wave_jet`` is the wave's
+Horner jet, on |z| = 1 too, that the boundary expansions of :mod:`.asymptotics` read.
 """
 
 from __future__ import annotations
@@ -234,10 +229,15 @@ def _wave_jet(wave, z, order: int) -> list:
             *(2.0 * TWOPI * math.factorial(k) * jet[k] for k in range(1, order + 1))]
 
 
+def _frame_angle(t, phi):
+    """t - phi less k whole turns, in [-pi, pi), floats or arrays: exact in the turns."""
+    k = ((t - phi) / TWOPI + 0.5) // 1.0
+    return (t - k * PI) - (phi + k * PI) - k * TWOPI_LOW
+
+
 def _half_width(lo: float, hi: float):
-    """(h, sin h) for the arc from lo to hi in [-pi, pi], of width 2h (wrapping past pi if
-    hi <= lo, the whole circle if hi == lo).  sin h is read from the narrower of the arc
-    and its complement, adding TWOPI_LOW to one that wraps: a narrow gap keeps it too."""
+    """(h, sin h) for the arc from lo to hi in [-pi, pi] (past pi if hi <= lo, all if equal),
+    2h wide; sin h off the narrower of it and its complement, so a narrow gap keeps it too."""
     d = abs(hi - lo)
     w = d if d <= PI else (PI - max(lo, hi)) + (PI + min(lo, hi)) + TWOPI_LOW
     return 0.5 * (hi - lo if hi > lo else (hi + PI) + (PI - lo)), math.sin(0.5 * w)
@@ -246,14 +246,14 @@ def _half_width(lo: float, hi: float):
 def _herglotz_plan(F: SpectralMeasure, z):
     """(Phi, Phi') over the array z in closed form (module docstring), or None without a
     plan.  A level L on an arc of width 2h is summed in the frame of z, u = s - arg z
-    wrapped to [-pi, pi): Re Phi_L = 2L dth (module docstring), never a difference of two
-    logs, which the level (~1/h) would magnify on a narrow arc, and
+    (``_frame_angle``), never as a difference of two logs, which the level (~1/h) would
+    magnify on a narrow arc: with sigma = -1 if the arc wraps past u = pi, else 1,
 
+        Re Phi_L = 2L atan2((1 - r^2) sin h, sigma ((1 + r)^2 s_a s_b + (1 - r)^2 c_a c_b)),
         Im Phi_L = -L log(|v_b|^2 / |v_a|^2),  |v|^2 = (1 + r)^2 s^2 + (1 - r)^2 c^2,
         Phi'_L = 4L sin h e^(i(a + h)) / ((e^(ia) - z)(e^(ib) - z)),
 
-    the log as log1p(4 r sigma sin h sin((u_a + u_b)/2) / |v_a|^2) while that argument
-    is under 1/2."""
+    the log as log1p(4 r sigma sin h sin((u_a + u_b)/2) / |v_a|^2) while that is below 1/2."""
     plan = ((0j,), ()) if F.density is None else F.density.wave_and_arcs()
     if plan is None:
         return None
@@ -263,7 +263,7 @@ def _herglotz_plan(F: SpectralMeasure, z):
     y, rp2, rm2 = (1.0 - r) * (1.0 + r), (1.0 + r) ** 2, (1.0 - r) ** 2
     for lo, hi, level in plan[1]:
         h, sin_h = _half_width(lo, hi)
-        u = np.remainder(np.subtract.outer((lo, hi), arg) + PI, TWOPI) - PI
+        u = np.stack([_frame_angle(lo, arg), _frame_angle(hi, arg)])
         sigma = np.where(u[1] <= u[0], -1.0, 1.0)
         sn, cs = np.sin(0.5 * u), np.cos(0.5 * u)
         va, vb = rp2 * sn[0] ** 2 + rm2 * cs[0] ** 2, rp2 * sn[1] ** 2 + rm2 * cs[1] ** 2

@@ -383,9 +383,8 @@ _DOUBLE_ZERO_AT_PI = [
 def test_closed_form_is_bitwise_the_numpy_scalar_oracle(F):
     # the wave and its sums are the oracle's bit for bit.  A level's arc moments are
     # read in the half-angle variable now, within 1e-12 of the oracle's fold; where the
-    # level and the wave make a double zero (DOUBLE_ZERO at phi = +-pi) both forms lose
-    # about eps/y^2 (the oracle 15 eps/y^2, this form 21), so that direction is held
-    # to its 60-digit values
+    # level and the wave make a double zero (DOUBLE_ZERO at phi = +-pi) the oracle loses
+    # about eps/y^2, so that direction is held to its 60-digit values
     levels = bool(F.density.wave_and_arcs()[1])
     points = 0
     for phi in _ladder_directions(F, seed=len(F.label)):
@@ -394,13 +393,25 @@ def test_closed_form_is_bitwise_the_numpy_scalar_oracle(F):
             got, want = rho1(F, z), _oracle_closed_form(F, z)
             if F.label == DOUBLE_ZERO and abs(phi) == math.pi:
                 y = (1.0 - r) * (1.0 + r)
-                assert got == pytest.approx(pinned, rel=25 * EPS / y**2, abs=0.0), (phi, r)
+                assert got == pytest.approx(pinned, rel=20 * EPS / y**2, abs=0.0), (phi, r)
             elif levels:
                 assert got == pytest.approx(want, rel=1e-12, abs=0.0), (phi, r)
             else:
-                assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), (phi, r)
+                assert got == want, (phi, r)
+                assert math.copysign(1.0, got) == math.copysign(1.0, want), (phi, r)
             points += 1
     assert points >= 330
+
+
+def test_closed_form_keeps_its_digits_at_a_double_zero_of_a_level_and_the_wave():
+    # the level (1, -1) faces z at phi = pi, where the wave cancels it: its O(1/y) plus
+    # once cancelled the wave's, about eps/y^2 off (1.8e-7 at r = 1 - 10^-4.5).  Read as
+    # the whole circle less the arc (-1, 1), its level sums into the wave's constant first
+    F = presets.parse_preset(DOUBLE_ZERO)
+    for r, pinned in zip(_LADDER + [0.0, 0.5], _DOUBLE_ZERO_AT_PI):
+        for phi in (math.pi, -math.pi):
+            got = rho1(F, r * cmath.exp(1j * phi))
+            assert got == pytest.approx(pinned, rel=20 * EPS / (1.0 - r), abs=0.0), (phi, r)
 
 
 #: points of the narrow-arc pins: at an end of the arc, off its side, in its gap and away
@@ -432,23 +443,26 @@ def _whole_circle(r):
     return TWOPI * (1.0 - r) / (1.0 + r), TWOPI * (1.0 + r) / (1.0 - r), 0.0, TWOPI
 
 
-def _assert_whole_circle(moments, r):
-    minus, plus, s_, b = moments
-    want = _whole_circle(r)
-    for got, value in ((minus, want[0]), (plus, want[1]), (b, want[3])):
-        assert abs(got - value) <= 4e-15 * value
-    assert abs(s_) <= 4e-15 * TWOPI  # against sqrt(minus plus)
+def _arc(lo, hi, r, phi):
+    """The arc's moments, the whole circles that _arc_moments takes off added back."""
+    *moments, k = _arc_moments(lo, hi, r, phi)
+    return [m + k * c for m, c in zip(moments, _whole_circle(r))]
+
+
+def _assert_moments(got, want, tol=4e-15):
+    # minus, plus and b relative; s against sqrt(minus plus), which bounds it
+    for g, w in zip(got[:2] + got[3:], want[:2] + want[3:]):
+        assert abs(g - w) <= tol * w, (got, want)
+    assert abs(got[2] - want[2]) <= tol * math.sqrt(want[0] * want[1]), (got, want)
 
 
 def test_arc_moments_rotate_by_whole_turns_exactly():
     # from phi = pi an arc near -pi sits at u = t - pi + 2 pi: t - pi rounds at the scale
     # of 2 pi, and TWOPI falls 2.4e-16 short of 2 pi; the two moved moments by up to 8e-13
     for r in (0.9, 0.999, 1.0 - 1e-6):
-        got = _arc_moments(-PI + 2.0**-10, -PI + 2.0**-9, r, PI)
-        want = _arc_moments(2.0**-10 + 2.4492935982947064e-16, 2.0**-9 + 2.4492935982947064e-16,
-                            r, 0.0)
-        for g, w in zip(got, want):
-            assert abs(g - w) <= 4e-15 * abs(w), r
+        got = _arc(-PI + 2.0**-10, -PI + 2.0**-9, r, PI)
+        want = _arc(2.0**-10 + 2.4492935982947064e-16, 2.0**-9 + 2.4492935982947064e-16, r, 0.0)
+        _assert_moments(got, want)
 
 
 def _x_minus_sin(x):
@@ -459,27 +473,34 @@ def _x_minus_sin(x):
 
 @settings(max_examples=400, deadline=None)
 @given(st.floats(-math.pi, math.pi), st.floats(-6.0, math.log10(math.pi)), st.booleans(),
-       st.floats(0.0, 1.0 - 1e-6), st.integers(0, 3))
+       st.floats(0.0, 1.0 - 1e-6), st.integers(0, 3), st.floats(0.01, 0.99))
 # a near-full arc whose end faces z: plus once read its sin h off the wrapped width
-@example(1.0, -6.0, True, 1.0 - 1.1e-6, 0)
+@example(1.0, -6.0, True, 1.0 - 1.1e-6, 0, 0.5)
 # a narrow arc across pi, whose width is hi - lo + 2 pi, not + TWOPI
-@example(3.14159, -5.0, False, 0.0, 2)
-def test_complementary_arcs_make_the_whole_circle(lo, log_width, gap, r, end):
+@example(3.14159, -5.0, False, 0.0, 2, 0.5)
+def test_complementary_arcs_make_the_whole_circle(lo, log_width, gap, r, end, cut):
     width = 10.0**log_width
-    hi = math.remainder(lo + (TWOPI - width if gap else width), TWOPI)
+    width = TWOPI - width if gap else width
+    hi = math.remainder(lo + width, TWOPI)
     phi = (lo, hi, math.pi, -math.pi)[end]
-    one, other = _arc_moments(lo, hi, r, phi), _arc_moments(hi, lo, r, phi)
-    _assert_whole_circle([a + b for a, b in zip(one, other)], r)
+    whole = _whole_circle(r)
+    one, other = _arc(lo, hi, r, phi), _arc(hi, lo, r, phi)
+    _assert_moments([a + b for a, b in zip(one, other)], whole)
+    # seen from a point inside it, the arc is the sum of its two sides, where it may pass
+    # half the theta circle and be read through its complement, and they may not
+    mid = math.remainder(lo + cut * width, TWOPI)
+    parts = [a + b for a, b in zip(_arc(lo, mid, r, mid), _arc(mid, hi, r, mid))]
+    _assert_moments(parts, _arc(lo, hi, r, mid))
     # at r = 0 the Poisson integral is the width (2 pi = TWOPI + 2.4492935982947064e-16)
     exact = math.fsum((hi, -lo) if hi > lo else (hi, -lo, TWOPI, 2.4492935982947064e-16))
-    assert abs(_arc_moments(lo, hi, 0.0, phi)[3] - exact) <= 4e-15 * exact
+    assert abs(_arc(lo, hi, 0.0, phi)[3] - exact) <= 4e-15 * exact
     # an arc centred opposite z = r: cos m = 0, so plus is (2B/A)(dth - sin dth) alone
-    away = math.pi - 0.5 * width
-    plus, b = _arc_moments(away, -away, r, 0.0)[1::2]
+    away = math.pi - 0.5 * 10.0**log_width
+    plus, b = _arc(away, -away, r, 0.0)[1::2]
     want = 2.0 * (1.0 + r) / (1.0 - r) * _x_minus_sin(0.5 * b)
     assert abs(plus - want) <= 4e-15 * want
     # one breakpoint: a single level over the whole circle, without a derivative
-    _assert_whole_circle(_arc_moments(lo, lo, r, phi), r)
+    _assert_moments(_arc(lo, lo, r, phi), whole)
     F = SpectralMeasure(density=PeriodicFunction.step([lo], [1.0 / TWOPI]))
     z = np.array([0.0, cmath.rect(r, phi)])
     assert np.all(_herglotz_plan(F, z)[1] == 0.0)

@@ -255,6 +255,19 @@ def test_closed_form_herglotz_derivative_in_a_narrow_gap(g, values):
         assert abs(got - want) <= 1e-13 * abs(want), z
 
 
+def test_closed_form_herglotz_reads_an_end_across_the_cut():
+    # seen from arg z = pi the end -3.1415 sits at u = pi - 3.1415 + (2 pi - TWOPI): wrapped
+    # as (x + pi) mod 2 pi - pi it rounded at pi's scale, 7.4e-12 off at arg z = +pi.
+    # References: 2L dth at the float arg z, 50 digits
+    F = presets.indicator(-3.1415, 0.5)
+    z = np.array([complex(-(1 - 1e-5), 0.0), complex(-(1 - 1e-5), -0.0),
+                  complex(-(1 - 1e-6), 0.0), complex(-(1 - 1e-6), -0.0), -0.9])
+    want = [0.05904958911899858321692, 0.05904958911915347858947, 0.00592755951332432143887,
+            0.005927559513339989514453, 0.8696165631881734866765]
+    for v, got, w in zip(z, _herglotz_plan(F, z)[0].real, want):
+        assert abs(got - w) <= 1e-15 * w, v
+
+
 def test_closed_form_herglotz_of_uniform_and_in_a_gap():
     z = np.array([0.0, 0.3 + 0.4j, -0.99, R_CEILING])
     phi, dphi = _herglotz_plan(presets.uniform(), z)
