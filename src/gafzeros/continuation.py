@@ -8,8 +8,8 @@ derivative variances
 whose log is eventually linear in k: rho(r) = lim var_k^(-1/2k).  Arcs of the
 circle outside the support of the measure are exactly the directions across
 which the series continues; each such arc, of center c and half-width delta,
-comes with the computable bound rho(r e^{ic}) >= (1 - 2 r cos(delta) + r^2)^(1/2)
-at the point facing its middle.
+comes with the computable bound at the point facing its middle,
+rho(r e^{ic}) >= ((1 - r)^2 + 4 r sin^2(delta/2))^(1/2).
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +43,7 @@ def _log_weights(F: SpectralMeasure, r: float, k_max: int, ratio: int = _RATIO):
 
     The variance rule is the kernel rule of :mod:`.poisson` with panel ratio
     8 and floor 16 sqrt(k_max + 1), graded toward the centers of
-    :func:`_support`: the local maxima of the high-k integrand over the
+    :func:`_rule_centers`: the local maxima of the high-k integrand over the
     support.  Against a 64-point rule of ratio 2 and floor 8192, graded
     toward 0 and every breakpoint, log var_k agrees within
     2.5e-14 max(1, |log var_k|) for k_max = 512 and 2048 and r up to
@@ -58,7 +57,7 @@ def _log_weights(F: SpectralMeasure, r: float, k_max: int, ratio: int = _RATIO):
     if F.density is not None:
         dens = F.density
         floor = 16.0 * math.sqrt(k_max + 1.0)
-        pts, wts = panel_nodes(graded_edges(r, dens.breakpoints, _support(dens), floor,
+        pts, wts = panel_nodes(graded_edges(r, dens.breakpoints, _rule_centers(dens), floor,
                                             _ratio=ratio))
         vals = dens(pts) * wts
         keep = vals > 0.0
@@ -236,68 +235,60 @@ class Arc:
 def arc_radius_bound(arc: Arc, r: float) -> float:
     """Lower bound on the local radius at the point r e^{i arc.center},
     which faces the middle of a regular arc: its distance to the arc's ends,
-    (1 - 2r cos(delta) + r^2)^(1/2) for the half-width delta.  It is measured
-    from that point, not from the real point r of a report, unless the arc
-    is centered on direction 0."""
+    ((1 - r)^2 + 4r sin^2(delta/2))^(1/2) for the half-width delta, a form that
+    keeps its digits on a narrow arc near the circle.  It is measured from that
+    point, not from the real point r of a report, unless the arc is centered on 0."""
     if arc.kind != "regular":
         raise DomainError("bound applies to regular arcs")
-    delta = arc.half_width
-    return math.sqrt(1.0 - 2.0 * r * math.cos(delta) + r * r)
+    return math.sqrt((1.0 - r) ** 2 + 4.0 * r * math.sin(0.5 * arc.half_width) ** 2)
 
 
-def _support(dens):
-    """The centers of the variance rule (:func:`_log_weights`), cached on ``dens``:
-    the local maxima over the closed support (``PeriodicFunction.support``) of the
-    high-k integrand d(t)^-(k+1), d = 1 - 2r cos t + r^2.  d grows with |t|, so
-    they are 0 when the closed support holds it, and each breakpoint from which a
-    run leads away from 0: a run's lo in [0, pi) or its hi in (-pi, 0].  The
-    support point nearest 0 is one of them; a massless density gets (0.0,)."""
-    if dens._centers is None:
-        breaks = list(dens.breakpoints) or [-PI]
-        n = len(breaks)
-        live = dens.support()[1]
-        # live[i] ends at b[i] and live[i + 1] starts there: a run's lo or hi
-        centers = {b for i, b in enumerate(breaks) if live[i] != live[(i + 1) % n] and
-                   (0.0 <= b < PI if live[(i + 1) % n] else -PI < b <= 0.0)}
-        if live[bisect_left(breaks, 0.0) % n]:
+def _rule_centers(dens):
+    """The centers of the variance rule (:func:`_log_weights`): the local maxima of the
+    high-k integrand d(t)^-(k+1), d = 1 - 2r cos t + r^2, over the closed support.  d
+    grows with |t|, so they are 0 where a run of ``PeriodicFunction.support`` holds it
+    and each run end that leads away from 0: a lo in [0, pi) or a hi in (-pi, 0], a hi
+    past pi read as the breakpoint it wraps, which hi - 2 pi can miss by an ulp.  The
+    whole circle and a massless density get (0.0,)."""
+    breaks, centers = dens.breakpoints, set()
+    for lo, hi in dens.support():
+        if hi == lo + TWOPI:  # the whole circle, the only run: no ends
+            return (0.0,)
+        end = hi if hi <= PI else float(breaks[np.argmin(np.abs(breaks - (hi - TWOPI)))])
+        if 0.0 <= lo < PI:
+            centers.add(lo)
+        if -PI < end <= 0.0:
+            centers.add(end)
+        if (lo <= 0.0 <= end) if hi <= PI else (lo <= 0.0 or 0.0 <= end):
             centers.add(0.0)
-        dens._centers = tuple(sorted(centers)) or (0.0,)
-    return dens._centers
+    return tuple(sorted(centers)) or (0.0,)
 
 
 def classify_arcs(F: SpectralMeasure) -> list[Arc]:
     """Partition the circle into maximal arcs outside/inside the support.
 
-    One sweep over the support runs of the density (``PeriodicFunction.support``):
-    each run is a singular arc, and the gap up to the next run is regular,
-    split at the atoms outside the support, each a singular point.  Without
-    support the first atom seeds the sweep, so a purely atomic measure and
-    a zero density plus atoms give the same arcs.  A repeated atom location
-    counts as one point.  Arcs are sorted by lo; a regular arc may wrap
-    through pi, so its hi can exceed pi.
+    One sweep over the runs of the density's support (``PeriodicFunction.support``)
+    and the atoms outside them as one-point runs, placed in the turn from the first
+    run's lo (or -pi): a singular arc per run, a regular arc per gap wider than
+    _ZERO_TOL.  A purely atomic measure and a zero density plus atoms give the same
+    arcs, and a repeated atom location counts as one point.  Arcs come sorted by
+    lo; a regular arc may wrap through pi, so its hi can exceed pi.
     """
-    runs = F.density.support()[0] if F.density is not None else ()
+    runs = list(F.density.support()) if F.density is not None else []
     if sum(hi - lo for lo, hi in runs) >= TWOPI - _ZERO_TOL:
         return [Arc(lo=-PI, hi=PI, kind="singular")]
-    points = sorted({t for t, _ in F.atoms
-                     if not any(lo - _ZERO_TOL <= u <= hi + _ZERO_TOL
-                                for lo, hi in runs for u in (t, t + TWOPI))})
-    if not runs:
-        if not points:
-            raise DomainError("measure carries no mass")
-        runs = [(points[0], points[0])]
+    points = {t for t, _ in F.atoms
+              if not any(lo - _ZERO_TOL <= u <= hi + _ZERO_TOL
+                         for lo, hi in runs for u in (t, t + TWOPI))}
+    if not runs and not points:
+        raise DomainError("measure carries no mass")
+    start = runs[0][0] if runs else -PI
+    runs = sorted(runs + [(t, t) if t >= start else (t + TWOPI, t + TWOPI) for t in points])
     arcs: list[Arc] = []
-    ends = [lo for lo, _ in runs[1:]] + [runs[0][0] + TWOPI]
-    for (lo, cur), end in zip(runs, ends):
-        arcs.append(Arc(lo=lo, hi=cur, kind="singular"))
-        for t in sorted(u for t in points for u in (t, t + TWOPI) if cur < u < end):
-            if t - cur > _ZERO_TOL:
-                arcs.append(Arc(lo=cur, hi=t, kind="regular"))
-            arcs.append(Arc(lo=t, hi=t, kind="singular"))
-            cur = t
-        if end - cur > _ZERO_TOL:
-            arcs.append(Arc(lo=cur, hi=end, kind="regular"))
-    arcs.sort(key=lambda a: a.lo)
+    for (lo, hi), (end, _) in zip(runs, runs[1:] + [(runs[0][0] + TWOPI, None)]):
+        arcs.append(Arc(lo=lo, hi=hi, kind="singular"))
+        if end - hi > _ZERO_TOL:
+            arcs.append(Arc(lo=hi, hi=end, kind="regular"))
     return arcs
 
 

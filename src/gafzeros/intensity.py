@@ -313,13 +313,10 @@ def sr_positive_form(F: SpectralMeasure, phi: float) -> float:
     inv = np.where(x2 > tiny, 1.0 / np.where(x2 > tiny, x2, 1.0), 0.0)
     gs = fv * inv
     gns = fneg * inv
-    cs, sn = np.cos(pts), np.sin(pts)
-    # the kernels 1 - cos(s -+ t) are nonnegative; clamp the rounding noise
-    # near the diagonal so the quadrature is a sum of nonnegative terms
-    one_minus_cos_diff = np.maximum(1.0 - np.outer(cs, cs) - np.outer(sn, sn), 0.0)
-    one_minus_cos_sum = np.maximum(1.0 - np.outer(cs, cs) + np.outer(sn, sn), 0.0)
-    g_same = (np.outer(gs, gs) + np.outer(gns, gns)) * one_minus_cos_diff
-    g_cross = (np.outer(gs, gns) + np.outer(gns, gs)) * one_minus_cos_sum
+    # the kernels 1 - cos(s -+ t) = 2 (sc -+ sc.T)^2, nonnegative by construction
+    sc = np.outer(np.sin(pts / 2.0), np.cos(pts / 2.0))  # sin(s/2) cos(t/2)
+    g_same = (np.outer(gs, gs) + np.outer(gns, gns)) * (2.0 * (sc - sc.T) ** 2)
+    g_cross = (np.outer(gs, gns) + np.outer(gns, gs)) * (2.0 * (sc + sc.T) ** 2)
     total = float(wts @ (g_same + g_cross) @ wts)
     return total / (4.0 * TWOPI * TWOPI)
 

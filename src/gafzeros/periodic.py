@@ -250,7 +250,7 @@ class PeriodicFunction:
     hash by breakpoints, pieces and jet.
     """
 
-    __slots__ = ("breakpoints", "pieces", "_jet", "_arcs", "_runs", "_centers")
+    __slots__ = ("breakpoints", "pieces", "_jet", "_arcs", "_runs")
 
     def __init__(self, breakpoints, pieces, *, jet=None):
         self.breakpoints = np.asarray(breakpoints, dtype=float)
@@ -260,7 +260,6 @@ class PeriodicFunction:
         self._jet = None if jet is None else np.asarray(jet, dtype=float)
         self._arcs = False  # wave_and_arcs, once computed
         self._runs = None  # support(), once computed
-        self._centers = None  # the variance rule's centers (continuation._support)
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -351,22 +350,19 @@ class PeriodicFunction:
     def support(self):
         """The support, cached (a refusal is not): its runs, the sorted merged (lo, hi)
         of the live pieces, those with a coefficient above _ZERO_TOL (piece i + 1
-        covers (b[i], b[i + 1]]; a run through pi ends past pi), and per piece whether
-        it is live.  A nonzero trig polynomial vanishes at isolated points only, so a
-        live piece is support over its whole interval once it is seen to be
-        nonnegative there: without evaluation when c_0 >= sum_{k != 0} |c_k|, else at
-        ``_SIGN_POINTS`` midpoints of its interval, where a value below -_ZERO_TOL
-        raises DomainError."""
+        covers (b[i], b[i + 1]]; a run through pi ends past pi).  A nonzero trig
+        polynomial vanishes at isolated points only, so a live piece is support over
+        its whole interval once it is seen to be nonnegative there: without
+        evaluation when c_0 >= sum_{k != 0} |c_k|, else at ``_SIGN_POINTS`` midpoints
+        of its interval, where a value below -_ZERO_TOL raises DomainError."""
         if self._runs is not None:
             return self._runs
         breaks = list(self.breakpoints) or [-PI]
-        n = len(breaks)
-        live = tuple(bool(np.max(np.abs(p.c)) > _ZERO_TOL) for p, _ in self.pieces)
         runs: list[tuple[float, float]] = []
         for i, (lo, hi) in enumerate(zip(breaks, breaks[1:] + [breaks[0] + TWOPI])):
-            if not live[(i + 1) % n]:
+            p = self.pieces[(i + 1) % len(breaks)][0]  # the numerator carries the sign
+            if np.max(np.abs(p.c)) <= _ZERO_TOL:
                 continue
-            p = self.pieces[(i + 1) % n][0]  # the numerator carries the sign
             if 2.0 * p.c[p.degree].real < np.abs(p.c).sum():  # c_0 < sum_{k != 0} |c_k|
                 probe = lo + (hi - lo) * (np.arange(_SIGN_POINTS) + 0.5) / _SIGN_POINTS
                 if np.min(p(probe)) < -_ZERO_TOL:
@@ -377,7 +373,7 @@ class PeriodicFunction:
                 runs.append((lo, hi))
         if len(runs) > 1 and runs[-1][1] == runs[0][0] + TWOPI:
             runs = runs[1:-1] + [(runs[-1][0], runs[0][1] + TWOPI)]
-        self._runs = (tuple(runs), live)
+        self._runs = tuple(runs)
         return self._runs
 
     @property

@@ -1,3 +1,4 @@
+import bisect
 import json
 import math
 import warnings
@@ -474,6 +475,28 @@ def test_support_point_upper_bound():
         assert rho_local(U, r, k_max=512) <= 1 - r + 1e-3
 
 
+# ((1 - r)^2 + 4 r sin^2(delta/2))^(1/2) to 50 digits at the binary r and delta
+_BOUND_PINS = [
+    (1 - 1e-6, 1e-6, "0.0000014142132088399640868784614590353483387879942988868"),
+    (1 - 1e-6, 1e-5, "0.000010049870645895109843887088949954486376497373604078"),
+    (0.9999, 1e-6, "0.00010000499937502023320591447225221739712070061015664"),
+    (1 - 1e-9, 1e-7, "0.00000010000499982472589946302801772023673679468918395186"),
+    (0.999, 1e-3, "0.0014138599353365964136139968784823707428170364611132"),
+    (0.5, HALF, "1.1180339887498948208206519211555058237764903024997"),
+    (0.3, 2.5, "1.2532701900740160046591084231209425167210001577484"),
+    (0.9, 3.0, "1.8952536753376319219925435996191353191146901549533"),
+]
+
+
+@pytest.mark.parametrize("r, delta, want", _BOUND_PINS,
+                         ids=[f"r={r!r}-delta={d!r}" for r, d, _ in _BOUND_PINS])
+def test_arc_radius_bound_keeps_its_digits(r, delta, want):
+    # 1 - 2r cos(delta) + r^2 cancels on a narrow arc near the circle: 1.7e-5
+    # relative at r = 1 - 1e-6, delta = 1e-6
+    got = arc_radius_bound(Arc(-delta, delta, "regular"), r)
+    assert abs(got - float(want)) <= 4 * np.finfo(float).eps * float(want)
+
+
 def test_arc_bound_validation():
     with pytest.raises(DomainError):
         arc_radius_bound(Arc(0.0, 1.0, "singular"), 0.5)
@@ -675,6 +698,43 @@ def test_classified_arcs_tile_the_circle(F):
     for prev, arc in zip(arcs[-1:] + arcs[:-1], arcs):
         assert math.remainder(arc.lo - prev.hi, 2 * math.pi) == pytest.approx(0.0, abs=1e-9)
         assert not (len(arcs) > 1 and prev.kind == arc.kind == "regular")
+
+
+def _oracle_rule_centers(dens):
+    """The variance rule's centers as they stood with per-piece live flags,
+    liveness read off the piece coefficients as in _oracle_classify_arcs: each
+    breakpoint where liveness changes and the live side leads away from 0,
+    and 0 when the piece holding it is live."""
+    breaks = list(dens.breakpoints) or [-math.pi]
+    n = len(breaks)
+    live = [bool(np.max(np.abs(p.c)) > 1e-12) for p, _ in dens.pieces]
+    # live[i] ends at breaks[i] and live[i + 1] starts there
+    centers = {b for i, b in enumerate(breaks) if live[i] != live[(i + 1) % n] and
+               (0.0 <= b < math.pi if live[(i + 1) % n] else -math.pi < b <= 0.0)}
+    if live[bisect.bisect_left(breaks, 0.0) % n]:
+        centers.add(0.0)
+    return tuple(sorted(centers)) or (0.0,)
+
+
+# a run through pi ends at -0.7 + 2 pi, and (-0.7 + 2 pi) - 2 pi misses -0.7
+_WRAPPED_END = PeriodicFunction.step([-0.7, 0.5], [1.0, 0.0])
+# one run of the whole circle, whose hi - lo reads 6.283185307179585 < 2 pi
+_WHOLE_TURN = PeriodicFunction.step([2.748405939029724], [1.0])
+
+
+@settings(max_examples=400, deadline=None)
+@given(_measures())
+@example(SpectralMeasure(density=_WRAPPED_END))
+@example(SpectralMeasure(density=_WHOLE_TURN))
+def test_rule_centers_match_the_live_flag_oracle(F):
+    if F.density is None:
+        return
+    assert continuation._rule_centers(F.density) == _oracle_rule_centers(F.density)
+
+
+@pytest.mark.parametrize("dens, want", [(_WRAPPED_END, (-0.7, 0.5)), (_WHOLE_TURN, (0.0,))])
+def test_rule_centers_read_run_ends_as_breakpoints(dens, want):
+    assert continuation._rule_centers(dens) == want
 
 
 @pytest.mark.parametrize("text, t", [
