@@ -732,7 +732,8 @@ def test_rule_centers_match_the_live_flag_oracle(F):
     assert continuation._rule_centers(F.density) == _oracle_rule_centers(F.density)
 
 
-@pytest.mark.parametrize("dens, want", [(_WRAPPED_END, (-0.7, 0.5)), (_WHOLE_TURN, (0.0,))])
+@pytest.mark.parametrize("dens, want", [(_WRAPPED_END, (-0.7, 0.5)), (_WHOLE_TURN, (0.0,))],
+                         ids=["wrapped-end", "whole-turn"])
 def test_rule_centers_read_run_ends_as_breakpoints(dens, want):
     assert continuation._rule_centers(dens) == want
 
