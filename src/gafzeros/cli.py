@@ -67,10 +67,8 @@ def cmd_asymptote(args) -> int:
 
 def cmd_experiment(args) -> int:
     F = presets.parse_preset(args.preset)
-    config = ExperimentConfig(F=F, N=args.n, replicas=args.replicas,
-                              r_bins=args.rbins, phi_bins=args.pbins,
-                              r_max=args.rmax, seed=args.seed,
-                              workers=args.workers)
+    config = ExperimentConfig(F=F, N=args.n, replicas=args.replicas, r_bins=args.rbins,
+                              phi_bins=args.pbins, r_max=args.rmax, seed=args.seed)
     profile = run_experiment(config)
     if profile.truncation_caveat:
         print(f"warning: {profile.truncation_caveat}", file=sys.stderr)
@@ -135,7 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--rbins", type=int, default=6)
     e.add_argument("--pbins", type=int, default=8)
     e.add_argument("--seed", type=int, default=0)
-    e.add_argument("--workers", type=int, default=1)
     e.add_argument("--out", default="")
     e.add_argument("--format", default="csv", choices=["csv", "json"])
     e.set_defaults(func=cmd_experiment)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PrecisionError, TailWarning
-from .periodic import _ZERO_TOL, PI, TWOPI, one_minus_cos, panel_nodes, wrap_angle
+from .periodic import _ZERO_TOL, PI, TWOPI, one_minus_cos, panel_nodes, power_table, wrap_angle
 from .poisson import graded_edges
 from .spectral import SpectralMeasure
 
@@ -77,17 +77,6 @@ _BLOCKS_PER_PRODUCT = 64
 _EXP_FLUSH = -663.0
 
 
-def _power_table(gain, rows):
-    """P[i, j] = exp(i gain_j) for i < rows, by doubling: P[h:2h] = P[:h] P[h]."""
-    table = np.ones((rows, gain.size))
-    step = np.exp(gain)
-    h = 1
-    while h < rows:
-        np.multiply(table[:min(h, rows - h)], table[h - 1] * step, out=table[h:2 * h])
-        h *= 2
-    return table
-
-
 def _log_moments(logw, logd, ks):
     """log sum_j exp(logw_j - (k+1) logd_j) for every nonnegative integer k
     in ``ks``, blocked as :func:`log_variance_alpha` describes."""
@@ -103,7 +92,7 @@ def _log_moments(logw, logd, ks):
         # fewer orders than blocks in the span: only the blocks that hold one
         blocks, rank = np.unique(at // block, return_inverse=True)
         at = rank * block + at % block
-    table = _power_table(gain, min(block, span))
+    table = power_table(np.exp(gain), min(block, span))
     k0 = lo + block * blocks.astype(float)
     out = np.empty((k0.size, len(table)))
     for c in range(0, k0.size, _BLOCKS_PER_PRODUCT):

@@ -22,7 +22,7 @@ from .errors import DegenerateDenominator, DomainError, TruncationBiasWarning
 from .intensity import _DENOM_FLOOR
 from .periodic import PI, TWOPI, panel_nodes
 from .poisson import _check_radius, _herglotz_plan, graded_edges, herglotz
-from .sampling import sample_blocks
+from .sampling import _in_slices, sample_blocks
 from .spectral import SpectralMeasure
 from .zeros import MAX_DEGREE, find_roots
 
@@ -35,6 +35,8 @@ _TRUNCATION_RATIO = 1e-3
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """``workers`` must be positive and has no effect: replicas run on one thread per core."""
+
     F: SpectralMeasure
     N: int = 400
     replicas: int = 200
@@ -75,12 +77,13 @@ class RadialProfile:
         return float(self.analytic.sum())
 
 
-def _replica_counts(args):
-    values, r_edges, phi_edges = args
-    roots = find_roots(values).roots
-    r = np.abs(roots)
-    keep = (r >= r_edges[0]) & (r < r_edges[-1])
-    return np.histogram2d(r[keep], np.angle(roots[keep]), bins=[r_edges, phi_edges])[0]
+def _replica_counts(hists: list, blocks: list, lo: int, hi: int, r_edges, phi_edges) -> None:
+    """hists[i] = the (r, phi) histogram of the roots of blocks[i] for lo <= i < hi."""
+    for i in range(lo, hi):
+        roots = find_roots(blocks[i].values).roots
+        r = np.abs(roots)
+        keep = (r >= r_edges[0]) & (r < r_edges[-1])
+        hists[i] = np.histogram2d(r[keep], np.angle(roots[keep]), bins=[r_edges, phi_edges])[0]
 
 
 def _flux(F: SpectralMeasure, edges: np.ndarray, cells: np.ndarray, path) -> np.ndarray:
@@ -142,10 +145,9 @@ def analytic_cell_counts(F: SpectralMeasure, r_edges, phi_edges) -> np.ndarray:
 def run_experiment(config: ExperimentConfig) -> RadialProfile:
     """Replicated sampling -> roots -> binning, with the analytic column.
 
-    All coefficient blocks are sampled in this process; worker processes
-    (if any) only root and bin them.  Deterministic for a fixed seed
-    regardless of worker scheduling: replica results are reduced in index
-    order.
+    The replicas are sampled, then rooted and binned, on the threads of
+    ``sampling._in_slices``.  Deterministic for a fixed seed whatever the
+    thread count: replica results are reduced in index order.
     """
     F = config.F
     r_edges = np.linspace(0.0, config.r_max, config.r_bins + 1)
@@ -159,22 +161,13 @@ def run_experiment(config: ExperimentConfig) -> RadialProfile:
         warnings.warn(caveat, TruncationBiasWarning, stacklevel=2)
 
     blocks = sample_blocks(F, config.N, config.replicas, config.seed)
-    jobs = [(block.values, r_edges, phi_edges) for block in blocks]
-    if config.workers > 1:
-        # imported here: the pool machinery costs about 1.4 MB resident
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            hists = list(pool.map(_replica_counts, jobs, chunksize=8))
-    else:
-        hists = [_replica_counts(job) for job in jobs]
-
+    hists = [None] * len(blocks)
+    _in_slices(len(blocks), lambda lo, hi: _replica_counts(hists, blocks, lo, hi, r_edges,
+                                                           phi_edges))
     stack = np.stack(hists)
     mean = stack.mean(axis=0)
-    if config.replicas > 1:
-        se = stack.std(axis=0, ddof=1) / math.sqrt(config.replicas)
-    else:
-        se = np.zeros_like(mean)
+    se = (stack.std(axis=0, ddof=1) / math.sqrt(config.replicas) if config.replicas > 1
+          else np.zeros_like(mean))
     analytic = analytic_cell_counts(F, r_edges, phi_edges)
     return RadialProfile(r_edges=r_edges, phi_edges=phi_edges,
                          empirical_mean=mean, empirical_se=se, analytic=analytic,

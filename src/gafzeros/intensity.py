@@ -26,7 +26,7 @@ import numpy as np
 from .errors import (CaseMismatch, DegenerateDenominator, DomainError,
                      MethodUnavailable, PrecisionError)
 from .periodic import PI, TWOPI, PeriodicFunction, one_minus_cos, panel_nodes, wrap_scalar
-from .poisson import (_check_radius, _frame_angle, _frame_nodes, _half_width, _kernel_nodes,
+from .poisson import (_check_radius, _frame_nodes, _half_angle, _half_width, _kernel_nodes,
                       herglotz, poisson_kernel)
 from .spectral import SpectralMeasure
 
@@ -108,9 +108,7 @@ def _arc_moments(lo: float, hi: float, r: float, phi: float):
     is the sine of its complement.  Past half the theta circle (x < 0) it is minus the arc's
     complement, k = 1, so that the caller sums the level into the wave's constant first."""
     A, B = 1.0 - r, 1.0 + r
-    u_a, u_b = _frame_angle(lo, phi), _frame_angle(hi, phi)
-    sa, ca, sb, cb = (math.sin(0.5 * u_a), math.cos(0.5 * u_a),
-                      math.sin(0.5 * u_b), math.cos(0.5 * u_b))
+    (u_a, sa, ca), (u_b, sb, cb) = _half_angle(lo, phi), _half_angle(hi, phi)
     x = (-1.0 if u_b <= u_a else 1.0) * (B * B * sa * sb + A * A * ca * cb)
     sa, ca = (sb, cb) if x < 0.0 else (sa, ca)  # the complement runs from hi to lo
     dth = math.atan2(A * B * _half_width(lo, hi)[1], abs(x))

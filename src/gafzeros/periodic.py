@@ -659,6 +659,16 @@ def panel_nodes(edges):
     return pts.ravel(), wts.ravel()
 
 
+def power_table(x, rows):
+    """P[i, j] = x_j^i for i < rows, by doubling: P[h:2h] = P[:h] x^h, x^h = P[h - 1] x."""
+    table = np.ones((rows, x.size), dtype=x.dtype)
+    h = 1
+    while h < rows:
+        np.multiply(table[:min(h, rows - h)], table[h - 1] * x, out=table[h:2 * h])
+        h *= 2
+    return table
+
+
 def mean(h: PeriodicFunction) -> float:
     """Average of h over one period (the functional written I(h) in reports).
 

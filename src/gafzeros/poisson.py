@@ -235,6 +235,18 @@ def _frame_angle(t, phi):
     return (t - k * PI) - (phi + k * PI) - k * TWOPI_LOW
 
 
+def _half_angle(t: float, phi: float):
+    """(u, sin(u/2), cos(u/2)) at u = ``_frame_angle(t, phi)``.  An end behind z (|u| > pi/2)
+    is read from the antipode, v = t - (phi +- pi) exact in the turns, as cos(u/2) = -+sin(v/2):
+    u rounds at pi's scale, which cos(u/2) would carry as eps pi / d at d from the antipode."""
+    u = _frame_angle(t, phi)
+    if abs(u) <= 0.5 * PI:
+        return u, math.sin(0.5 * u), math.cos(0.5 * u)
+    m, s = math.copysign(1.0, t - phi), math.copysign(1.0, u)
+    v = ((t - m * PI) - phi if abs(t) >= abs(phi) else t - (phi + m * PI)) - m * 0.5 * TWOPI_LOW
+    return u, s * math.cos(0.5 * v), -s * math.sin(0.5 * v)
+
+
 def _half_width(lo: float, hi: float):
     """(h, sin h) for the arc from lo to hi in [-pi, pi] (past pi if hi <= lo, all if equal),
     2h wide; sin h off the narrower of it and its complement, so a narrow gap keeps it too."""

@@ -30,9 +30,10 @@ reproducible across runs; other languages re-implementing the hash get the
 same replica seeds even though their normal variates will differ.
 
 ``sample_blocks`` draws its replicas on up to one thread per usable core, each
-thread a contiguous slice of the seeds; the draws and the product release the
-GIL.  A block's arithmetic is the same on every thread, so its bits do not
-depend on the thread count.
+thread a contiguous slice of the seeds (``_in_slices``, the split that
+``experiments.run_experiment`` roots the blocks on); the draws and the product
+release the GIL.  A block's arithmetic is the same on every thread, so its bits
+do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -128,6 +129,32 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
+def _in_slices(n: int, work) -> None:
+    """work(lo, hi) over min(usable cores, n) contiguous slices of range(n): the first on the
+    calling thread, one joined thread each for the rest; a thread's first error raised here."""
+    T = max(1, min(_usable_cores(), n))
+    cuts = [n * j // T for j in range(T + 1)]
+    errors = []
+
+    def guarded(lo: int, hi: int) -> None:
+        try:
+            work(lo, hi)
+        except BaseException as exc:  # raised again in the calling thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=guarded, args=cuts[j:j + 2]) for j in range(1, T)]
+    try:
+        for t in threads:
+            t.start()
+        work(0, cuts[1])
+    finally:
+        for t in threads:
+            if t.ident is not None:  # started
+                t.join()
+    if errors:
+        raise errors[0]
+
+
 def _draw_slice(values: list, seeds: list, lo: int, hi: int, sqrt_w: np.ndarray,
                 phases: np.ndarray) -> None:
     """values[i] = phases @ (sqrt_w * zeta_i) for lo <= i < hi, each zeta_i drawn from
@@ -157,11 +184,9 @@ def sample_blocks(F: SpectralMeasure, N: int, replicas: int, seed: int,
     """Independent replicas with SplitMix64-derived per-replica seeds.
 
     Bit-identical to calling :func:`sample_block` with each derived seed; the
-    node grid and phase matrix are shared across replicas.  The replicas are
-    split into min(usable cores, replicas) contiguous slices; the calling thread
-    draws the first and one short-lived thread each of the others, all joined
-    before this returns.  DomainError for a negative or non-integral
-    ``replicas``; 0 gives [].
+    node grid and phase matrix are shared across replicas, and the replicas are
+    drawn on the threads of ``_in_slices``.  DomainError for a negative or
+    non-integral ``replicas``; 0 gives [].
     """
     if not (replicas >= 0 and float(replicas).is_integer()):
         raise DomainError(f"replica count {replicas!r} is not a nonnegative integer")
@@ -169,27 +194,7 @@ def sample_blocks(F: SpectralMeasure, N: int, replicas: int, seed: int,
     n = int(replicas)
     seeds = [replica_seed(seed, i) for i in range(n)]
     values = [None] * n
-    T = max(1, min(_usable_cores(), n))
-    cuts = [n * j // T for j in range(T + 1)]
-    errors = []
-
-    def work(lo: int, hi: int) -> None:
-        try:
-            _draw_slice(values, seeds, lo, hi, sqrt_w, phases)
-        except BaseException as exc:  # raised again in the calling thread
-            errors.append(exc)
-
-    threads = [threading.Thread(target=work, args=cuts[j:j + 2]) for j in range(1, T)]
-    try:
-        for t in threads:
-            t.start()
-        _draw_slice(values, seeds, 0, cuts[1], sqrt_w, phases)
-    finally:
-        for t in threads:
-            if t.ident is not None:  # started
-                t.join()
-    if errors:
-        raise errors[0]
+    _in_slices(n, lambda lo, hi: _draw_slice(values, seeds, lo, hi, sqrt_w, phases))
     return [CoefficientBlock(values=v, seed=rs, F_label=F.label, grid_size=M)
             for rs, v in zip(seeds, values)]
 

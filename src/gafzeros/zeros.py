@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryTieWarning, DomainError, SolverError
+from .periodic import power_table
 
 __all__ = [
     "ZeroSet", "find_roots", "companion_roots", "count_region",
@@ -22,6 +23,7 @@ __all__ = [
 
 MAX_DEGREE = 2048
 _TIE_TOL = 1e-12
+_BLOCK = 128  # coefficients per block of ``_power_sums``
 
 
 @dataclass(frozen=True)
@@ -42,55 +44,52 @@ class ZeroSet:
         return self.roots.size
 
 
-def _newton_ratio(c, z):
-    """w = p(z)/p'(z), overflow-safe on both sides of the unit circle.
+def _power_sums(rows, z):
+    """sum_k rows[g, k] z^k for each row g, shape (rows, z.size).  Blocks of _BLOCK
+    coefficients are summed against one ``power_table`` of z^0 .. z^(_BLOCK - 1) by a real
+    einsum over the table's (re, im) pairs, whose inner loop is a vectorised axpy that holds
+    neither the GIL nor a BLAS pool; the block sums are joined by Horner in z^_BLOCK."""
+    g, n = rows.shape
+    m = min(_BLOCK, n)
+    table = power_table(z.astype(complex, copy=False), m)
+    blocks = np.pad(rows, ((0, 0), (0, -n % m))).reshape(g, -1, m)
+    sums = np.einsum("xjb,bk->jxk", np.concatenate([blocks.real, blocks.imag]), table.view(float))
+    rc, ic = sums[:, :g], sums[:, g:]  # Re and Im of the rows times z^b's (re, im) pairs
+    sums = (rc[..., 0::2] - ic[..., 1::2]) + 1j * (rc[..., 1::2] + ic[..., 0::2])
+    zm, out = table[-1] * z, sums[-1]
+    for s in sums[-2::-1]:
+        out = out * zm + s
+    return out
 
-    Inside |z| <= 1 this is plain Horner; outside, p is evaluated through the
-    reversed polynomial at u = 1/z (p(z) = z^N rev(u)), which keeps every
-    intermediate bounded:  w = z rev(u) / (N rev(u) - u rev'(u)).
-    """
-    n = c.size - 1
+
+def _newton_ratio(c, z):
+    """w = p(z)/p'(z), overflow-safe on both sides of the unit circle: p and p' summed at z
+    inside |z| <= 1, outside through the reversed polynomial at u = 1/z (p(z) = z^N rev(u)),
+    which keeps every power bounded:  w = z rev(u) / (N rev(u) - u rev'(u))."""
+    k = np.arange(c.size)
     w = np.empty_like(z)
     inside = np.abs(z) <= 1.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if np.any(inside):
-            zi = z[inside]
-            p = np.polyval(c[::-1], zi)
-            dp = np.polyval((c[1:] * np.arange(1, c.size))[::-1], zi)
-            dp = np.where(dp == 0, np.finfo(float).tiny, dp)
-            w[inside] = p / dp
-        if np.any(~inside):
-            zo = z[~inside]
-            u = 1.0 / zo
-            cr = c[::-1]
-            pr = np.polyval(cr[::-1], u)
-            dpr = np.polyval((cr[1:] * np.arange(1, c.size))[::-1], u)
-            denom = n * pr - u * dpr
-            denom = np.where(denom == 0, np.finfo(float).tiny, denom)
-            w[~inside] = zo * pr / denom
+        for side, rev in ((inside, False), (~inside, True)):
+            if np.any(side):
+                zs = z[side]
+                pts, cs = (1.0 / zs, c[::-1]) if rev else (zs, c)
+                p, dp = _power_sums(np.stack([cs, np.roll(cs * k, -1)]), pts)
+                num, den = (zs * p, k[-1] * p - pts * dp) if rev else (p, dp)
+                w[side] = num / np.where(den == 0, np.finfo(float).tiny, den)
     return np.nan_to_num(w, nan=0.0, posinf=0.0, neginf=0.0)
 
 
 def _backward_residual(coeffs, roots) -> float:
     """max |p(z)| / sum_k |c_k| |z|^k, via the reversed form outside the circle."""
-    if roots.size == 0:
-        return 0.0
-    n = coeffs.size - 1
-    mags = np.abs(roots)
-    out = np.empty(roots.size)
-    inside = mags <= 1.0
-    absc = np.abs(coeffs)
-    if np.any(inside):
-        zi = roots[inside]
-        p = np.polyval(coeffs[::-1], zi)
-        scale = np.polyval(absc[::-1], mags[inside])
-        out[inside] = np.abs(p) / np.maximum(scale, 1e-300)
-    if np.any(~inside):
-        u = 1.0 / roots[~inside]
-        pr = np.polyval(coeffs, u)          # reversed coefficients
-        scale = np.polyval(absc, np.abs(u))
-        out[~inside] = np.abs(pr) / np.maximum(scale, 1e-300)
-    return float(out.max())
+    inside = np.abs(roots) <= 1.0
+    out = [0.0]
+    for cs, pts in ((coeffs, roots[inside]), (coeffs[::-1], 1.0 / roots[~inside])):
+        if pts.size:
+            p = _power_sums(cs[None, :], pts)[0]
+            scale = _power_sums(np.abs(cs)[None, :], np.abs(pts))[0].real
+            out.append(np.max(np.abs(p) / np.maximum(scale, 1e-300)))
+    return float(max(out))
 
 
 def find_roots(coeffs) -> ZeroSet:
@@ -110,9 +109,7 @@ def find_roots(coeffs) -> ZeroSet:
     nz = np.nonzero(c)[0]
     if nz.size == 0:
         raise DomainError("zero polynomial has no well-defined roots")
-    c = c[: nz[-1] + 1]
-    n_origin = int(nz[0])
-    c = c[n_origin:]
+    c, n_origin = c[nz[0]: nz[-1] + 1], int(nz[0])
     degree_total = c.size - 1 + n_origin
     if degree_total > MAX_DEGREE:
         raise DomainError(f"degree {degree_total} exceeds cap {MAX_DEGREE}")
@@ -122,8 +119,7 @@ def find_roots(coeffs) -> ZeroSet:
 
     c = c / np.abs(c).max()
     n = c.size - 1
-    radius = abs(c[0] / c[-1]) ** (1.0 / n)
-    radius = min(max(radius, 1e-6), 1e6)
+    radius = min(max(abs(c[0] / c[-1]) ** (1.0 / n), 1e-6), 1e6)
     angles = 2.0 * np.pi * (np.arange(n) + 0.5) / n + 0.4 / n
     z = radius * np.exp(1j * angles)
 
@@ -135,8 +131,7 @@ def find_roots(coeffs) -> ZeroSet:
             np.fill_diagonal(diff, 1.0)
             inv = 1.0 / diff
             np.fill_diagonal(inv, 0.0)
-            sums = inv.sum(axis=1)
-            denom = 1.0 - w * sums
+            denom = 1.0 - w * inv.sum(axis=1)
             step = np.where(np.abs(denom) > 1e-12, w / np.where(denom != 0, denom, 1.0), w)
         step = np.nan_to_num(step, nan=0.0, posinf=0.0, neginf=0.0)
         z = z - step

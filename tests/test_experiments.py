@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gafzeros import presets
+from gafzeros import presets, sampling
 from gafzeros.errors import DegenerateDenominator, DomainError, TruncationBiasWarning
 from gafzeros.experiments import (ExperimentConfig, RadialProfile,
                                   analytic_cell_counts, emit_profile,
@@ -188,18 +188,22 @@ def test_degenerate_direction_sector_counts():
     presets.uniform(),
     presets.indicator(-math.pi / 2, math.pi / 2),
     presets.mix((0.5, presets.uniform()), (0.5, presets.indicator(-1.0, 1.0))),
-    # a density built from a callable has no preset label: only the
-    # coefficient blocks cross the process boundary, so none is needed
+    # a density built from a callable has no preset label
     SpectralMeasure(density=PeriodicFunction.from_callable(
         lambda s: (1.0 + 0.6 * np.cos(s)) / (2.0 * math.pi))),
 ], ids=["uniform", "indicator", "mix", "callable"])
-def test_parallel_matches_serial(F):
-    a = run_experiment(small_config(F=F, replicas=8, workers=1))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        b = run_experiment(small_config(F=F, replicas=8, workers=2))
-    assert np.array_equal(a.empirical_mean, b.empirical_mean)
-    assert profile_csv(a) == profile_csv(b)
+def test_parallel_matches_serial(monkeypatch, F):
+    # the replicas are sampled and rooted on one thread per usable core: 8 replicas on
+    # 1, 2, 3 and 8 threads (3 splits unevenly) give the single thread's bits
+    monkeypatch.setattr(sampling, "_usable_cores", lambda: 1)
+    a = run_experiment(small_config(F=F, replicas=8))
+    for cores in (1, 2, 3, 8):
+        monkeypatch.setattr(sampling, "_usable_cores", lambda: cores)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            b = run_experiment(small_config(F=F, replicas=8))
+        assert np.array_equal(a.empirical_mean, b.empirical_mean), cores
+        assert profile_csv(a) == profile_csv(b), cores
 
 
 @pytest.mark.parametrize("text, cell, want", [

@@ -428,8 +428,13 @@ def test_package_import_skips_polynomial_and_pool():
 
     import gafzeros
     src = os.path.dirname(os.path.dirname(gafzeros.__file__))
-    code = ("import sys, gafzeros; print(sorted(m for m in ('numpy.polynomial', "
-            "'concurrent.futures.process') if m in sys.modules))")
+    # a run asking for two workers too: the replicas use threads, never a process pool
+    code = ("import sys, gafzeros\n"
+            "from gafzeros.experiments import ExperimentConfig, run_experiment\n"
+            "run_experiment(ExperimentConfig(F=gafzeros.presets.uniform(), N=16, replicas=4,"
+            " workers=2))\n"
+            "print(sorted(m for m in ('numpy.polynomial', 'concurrent.futures.process')"
+            " if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=src))
     assert out.stdout.strip() == "[]"

@@ -7,8 +7,8 @@ import pytest
 from gafzeros import presets
 from gafzeros.errors import BoundaryTieWarning, DomainError
 from gafzeros.sampling import sample_blocks
-from gafzeros.zeros import (ZeroSet, annulus, companion_roots, count_region,
-                            disk, find_roots, sector)
+from gafzeros.zeros import (_BLOCK, ZeroSet, _backward_residual, _newton_ratio, annulus,
+                            companion_roots, count_region, disk, find_roots, sector)
 
 
 def _match_sets(a, b):
@@ -51,18 +51,39 @@ def test_rejects_degenerate_input():
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_matches_companion_oracle(seed):
     rng = np.random.default_rng(seed)
-    for n in (8, 33, 64):
+    # the last three degrees end a block of the power sums, or pass one by a coefficient
+    for n in (8, 33, 64, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1):
         c = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
         mine = find_roots(c).roots
         ref = companion_roots(c)
         assert _match_sets(mine, ref) < 1e-8
 
 
-def test_residual_contract_gaussian_512():
-    rng = np.random.default_rng(7)
-    c = rng.standard_normal(513) + 1j * rng.standard_normal(513)
+@pytest.mark.parametrize("n", [5, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 700])
+def test_power_sums_match_polyval_on_both_sides_of_the_circle(n):
+    # p and p' against np.polyval in long double at points inside, on and outside the
+    # circle, each sum within 1e-13 sum_k |c_k| |z|^k (k |c_k| |z|^(k-1) for p'): so
+    # w = p / p' within the bound they give it, and each point's backward residual
+    # within 1e-13 of |p| / sum_k |c_k| |z|^k.  Measured: 4.5e-16 and 2.3e-15 at most
+    rng = np.random.default_rng(n)
+    c = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+    z = np.concatenate([rho * np.exp(2j * np.pi * rng.random(20))
+                        for rho in (0.2, 0.7, 0.99, 1.0, 1.01, 1.3, 3.0)])
+    k, cl, zl = np.arange(n + 1), c.astype(np.clongdouble), z.astype(np.clongdouble)
+    p, dp = np.polyval(cl[::-1], zl), np.polyval((cl * k)[:0:-1], zl)
+    s0 = np.polyval(np.abs(cl)[::-1], np.abs(zl))
+    s1 = np.polyval((np.abs(cl) * k)[:0:-1], np.abs(zl))
+    w, want = _newton_ratio(c, z), p / dp
+    assert np.all(np.abs(w - want) * np.abs(dp) <= 1e-13 * (s0 + np.abs(want) * s1))
+    residuals = np.array([_backward_residual(c, z[i:i + 1]) for i in range(z.size)])
+    assert np.all(np.abs(residuals - np.abs(p) / s0) <= 1e-13)
+
+
+def _assert_residual_contract(n, seed):
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
     zs = find_roots(c)
-    assert len(zs) == 512
+    assert len(zs) == n
     assert zs.residual <= 1e-8
     # the absolute form of the contract holds on the closed unit disk,
     # where sum_k |c_k| dominates the per-root scale
@@ -70,6 +91,15 @@ def test_residual_contract_gaussian_512():
     inside = zs.roots[np.abs(zs.roots) <= 1.0]
     worst = np.max(np.abs(np.polyval(scaled[::-1], inside)))
     assert worst / np.abs(scaled).sum() <= 1e-8
+
+
+def test_residual_contract_gaussian_512():
+    _assert_residual_contract(512, seed=7)
+
+
+def test_residual_contract_gaussian_1024():
+    # nine blocks of the power sums, the last of one coefficient, joined by Horner
+    _assert_residual_contract(1024, seed=8)
 
 
 def test_conjugation_equivariance():
