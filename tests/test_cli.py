@@ -182,6 +182,16 @@ def test_experiment_writes_file(tmp_path, capsys):
     assert out_path.exists()
 
 
+def test_experiment_has_no_workers_flag(capsys):
+    # the replicas run on one thread per usable core: the flag that chose a process pool
+    # is refused as an unknown argument (argparse's exit 2) before any sampling
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "--preset", "uniform", "--n", "8", "--replicas", "2",
+              "--workers", "2"])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+
+
 def test_continuation_reports_regular_arc(capsys):
     code, out, _ = run_cli(
         capsys, "continuation",
